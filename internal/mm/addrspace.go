@@ -70,6 +70,14 @@ type AddressSpace struct {
 	// frames are absent. The structure is shared between a parent and its
 	// forked children, since they reference the same frames.
 	sharedAnon *FrameRefs
+	// zapLeaves is zapRange's leaf list, reused across calls so the
+	// madvise/munmap path does not allocate it afresh.
+	zapLeaves []zapLeaf
+}
+
+// zapLeaf is one present leaf collected by zapRange.
+type zapLeaf struct {
+	va, frame uint64
 }
 
 // FrameRefs refcounts frames shared by multiple PTEs (KSM pages, fork CoW
@@ -262,13 +270,11 @@ func (as *AddressSpace) MadviseDontneed(start, length uint64) (FlushRange, error
 // zapRange unmaps present leaves in [start, end), freeing frames this mm
 // owns (anonymous pages and private CoW copies; never page-cache frames).
 func (as *AddressSpace) zapRange(start, end uint64) (pages int, freedTables bool) {
-	type leaf struct {
-		va, frame uint64
-	}
-	var leaves []leaf
+	leaves := as.zapLeaves[:0]
 	as.PT.VisitRange(start, end, func(tr pagetable.Translation) {
-		leaves = append(leaves, leaf{tr.VA, tr.Frame})
+		leaves = append(leaves, zapLeaf{tr.VA, tr.Frame})
 	})
+	as.zapLeaves = leaves
 	for _, l := range leaves {
 		owned := as.ownsFrame(l.va, l.frame)
 		pte, size, _ := as.PT.Lookup(l.va)

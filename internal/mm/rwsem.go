@@ -11,8 +11,11 @@ import (
 // waiters recheck on every release broadcast, deterministically ordered by
 // the engine.
 type RWSem struct {
-	eng     *sim.Engine
-	name    string
+	eng  *sim.Engine
+	name string
+	// raceVar is the precomputed variable name the race detector tracks
+	// the semaphore under.
+	raceVar string
 	readers int
 	writer  bool
 	changed *sim.Cond
@@ -46,14 +49,14 @@ func (s *RWSem) SetObserver(o *SemObserver) { s.obs = o }
 func (s *RWSem) EnableRace(d *race.Detector) { s.rt = d }
 
 func (s *RWSem) acquired(write bool) {
-	s.rt.AcquireName("sem:" + s.name)
+	s.rt.AcquireName(s.raceVar)
 	if s.obs != nil && s.obs.Acquired != nil {
 		s.obs.Acquired(s, write)
 	}
 }
 
 func (s *RWSem) released(write bool) {
-	s.rt.ReleaseName("sem:" + s.name)
+	s.rt.ReleaseName(s.raceVar)
 	if s.obs != nil && s.obs.Released != nil {
 		s.obs.Released(s, write)
 	}
@@ -61,7 +64,7 @@ func (s *RWSem) released(write bool) {
 
 // NewRWSem returns an unlocked semaphore.
 func NewRWSem(eng *sim.Engine, name string) *RWSem {
-	return &RWSem{eng: eng, name: name, changed: eng.NewCond()}
+	return &RWSem{eng: eng, name: name, raceVar: "sem:" + name, changed: eng.NewCond()}
 }
 
 // Name returns the diagnostic name.

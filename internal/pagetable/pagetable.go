@@ -139,6 +139,15 @@ var (
 	ErrOutOfRange = errors.New("pagetable: address out of range")
 )
 
+// notMappedError is ErrNotMapped for one address. Page faults hit this
+// path on every first touch, so the address is formatted only when the
+// error is printed; the text matches fmt.Errorf("%w: %#x", ErrNotMapped, va)
+// and errors.Is sees ErrNotMapped through Unwrap.
+type notMappedError uint64
+
+func (e notMappedError) Error() string { return fmt.Sprintf("%v: %#x", ErrNotMapped, uint64(e)) }
+func (e notMappedError) Unwrap() error { return ErrNotMapped }
+
 type node struct {
 	ptes     [EntriesPerTable]PTE
 	children [EntriesPerTable]*node
@@ -155,7 +164,11 @@ type Table struct {
 	tablePages int
 	// leaves counts present leaf entries.
 	leaves int
-	obs    func(Change)
+	// spare holds table pages freed by Unmap for Map to reuse. A freed
+	// page is all-zero: live counts every present PTE and child, and PTEs
+	// are only ever written present or zeroed.
+	spare []*node
+	obs   func(Change)
 
 	// rt, when non-nil, is the attached happens-before checker; pteVar is
 	// the variable name PTE accesses are tracked under. One variable
@@ -251,7 +264,7 @@ func (t *Table) Map(va, frame uint64, size Size, flags Flags) error {
 				// A huge leaf sits where we need an intermediate table.
 				return fmt.Errorf("%w: huge page at %#x", ErrAlreadyMapped, va)
 			}
-			n.children[idx] = &node{}
+			n.children[idx] = t.newNode()
 			n.live++
 			t.tablePages++
 		}
@@ -266,6 +279,17 @@ func (t *Table) Map(va, frame uint64, size Size, flags Flags) error {
 	t.leaves++
 	t.notify(va, size, PTE{}, n.ptes[idx])
 	return nil
+}
+
+// newNode returns a zeroed table page, reusing one Unmap freed if any.
+func (t *Table) newNode() *node {
+	if n := len(t.spare); n > 0 {
+		nd := t.spare[n-1]
+		t.spare[n-1] = nil
+		t.spare = t.spare[:n-1]
+		return nd
+	}
+	return &node{}
 }
 
 // Walk translates va. It does not modify Accessed/Dirty bits; the MMU model
@@ -300,12 +324,12 @@ func (t *Table) Walk(va uint64) (Translation, error) {
 		}
 		child := n.children[idx]
 		if child == nil {
-			return Translation{}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+			return Translation{}, notMappedError(va)
 		}
 		n = child
 		steps++
 	}
-	return Translation{}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+	return Translation{}, notMappedError(va)
 }
 
 // leaf returns the node and index of the present leaf covering va.
@@ -322,11 +346,11 @@ func (t *Table) leaf(va uint64) (*node, int, Size, error) {
 			return n, idx, size, nil
 		}
 		if n.children[idx] == nil {
-			return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+			return nil, 0, 0, notMappedError(va)
 		}
 		n = n.children[idx]
 	}
-	return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+	return nil, 0, 0, notMappedError(va)
 }
 
 // SetFlags ors extra flag bits into the leaf PTE covering va.
@@ -406,7 +430,7 @@ func (t *Table) unmapRec(n *node, va uint64, level int) (freed bool, err error) 
 	}
 	child := n.children[idx]
 	if child == nil {
-		return false, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+		return false, notMappedError(va)
 	}
 	freed, err = t.unmapRec(child, va, level-1)
 	if err != nil {
@@ -416,6 +440,7 @@ func (t *Table) unmapRec(n *node, va uint64, level int) (freed bool, err error) 
 		n.children[idx] = nil
 		n.live--
 		t.tablePages--
+		t.spare = append(t.spare, child)
 		freed = true
 	}
 	return freed, nil

@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -285,5 +286,65 @@ func TestFrameAlloc(t *testing.T) {
 	}
 	if a.Live() != 2+512 {
 		t.Fatalf("Live = %d", a.Live())
+	}
+}
+
+// TestNotMappedErrorText: the lazily formatted not-mapped error reads
+// exactly as the fmt.Errorf wrapping it replaces and still matches
+// ErrNotMapped, from every path that returns it.
+func TestNotMappedErrorText(t *testing.T) {
+	pt := New()
+	if err := pt.Map(0x200000, 1, Size4K, User); err != nil {
+		t.Fatal(err)
+	}
+	const va = 0x7f0000123000
+	want := fmt.Errorf("%w: %#x", ErrNotMapped, uint64(va)).Error()
+	_, walkErr := pt.Walk(va)
+	_, _, lookupErr := pt.Lookup(va)
+	_, unmapErr := pt.Unmap(va)
+	for name, err := range map[string]error{"Walk": walkErr, "Lookup": lookupErr, "Unmap": unmapErr} {
+		if !errors.Is(err, ErrNotMapped) {
+			t.Errorf("%s: %v does not match ErrNotMapped", name, err)
+		} else if err.Error() != want {
+			t.Errorf("%s: error text %q, want %q", name, err, want)
+		}
+	}
+}
+
+// TestFreedTablesAreRecycled: table pages freed by Unmap come back zeroed
+// and are reused by the next Map instead of allocating, and the reused
+// pages translate exactly like fresh ones.
+func TestFreedTablesAreRecycled(t *testing.T) {
+	pt := New()
+	const base = 0x40000000
+	for round := 0; round < 3; round++ {
+		for i := uint64(0); i < 4; i++ {
+			if err := pt.Map(base+i*PageSize4K, 100+i, Size4K, Write|User); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pt.TablePages() != 3 {
+			t.Fatalf("round %d: %d table pages, want 3", round, pt.TablePages())
+		}
+		if round > 0 && len(pt.spare) != 0 {
+			t.Fatalf("round %d: %d spare pages left after remapping, want 0", round, len(pt.spare))
+		}
+		for i := uint64(0); i < 4; i++ {
+			tr, err := pt.Walk(base + i*PageSize4K)
+			if err != nil || tr.Frame != 100+i {
+				t.Fatalf("round %d: walk %d = %+v, %v", round, i, tr, err)
+			}
+		}
+		if _, freed, err := pt.UnmapRange(base, base+4*PageSize4K); err != nil || !freed {
+			t.Fatalf("round %d: UnmapRange freed=%v err=%v", round, freed, err)
+		}
+		if pt.TablePages() != 0 || len(pt.spare) != 3 {
+			t.Fatalf("round %d: %d table pages, %d spare; want 0 and 3", round, pt.TablePages(), len(pt.spare))
+		}
+		for _, n := range pt.spare {
+			if *n != (node{}) {
+				t.Fatalf("round %d: freed table page is not zero", round)
+			}
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Cond is a condition variable for processes. Waiters are resumed in FIFO
 // order via the event queue, preserving determinism.
 //
@@ -7,14 +9,10 @@ package sim
 // threaded, so checking a predicate and calling Wait is atomic with respect
 // to other processes.
 type Cond struct {
-	eng     *Engine
-	waiters []*condWaiter
-}
-
-type condWaiter struct {
-	p         *Proc
-	signaled  bool
-	timeoutEv *Event
+	eng *Engine
+	// waiters are the blocked processes in arrival order. The backing
+	// array is kept across wakeups, so steady-state waits allocate nothing.
+	waiters []*Proc
 }
 
 // NewCond returns a condition variable bound to the engine.
@@ -27,22 +25,22 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 
 // Wait blocks p until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	w := &condWaiter{p: p}
-	c.waiters = append(c.waiters, w)
+	c.enqueue(p)
 	p.yield()
 }
 
 // WaitTimeout blocks p until the cond is signaled or d cycles elapse.
 // It reports whether the wakeup was a signal (true) or a timeout (false).
 func (c *Cond) WaitTimeout(p *Proc, d uint64) (signaled bool) {
-	w := &condWaiter{p: p}
-	w.timeoutEv = c.eng.After(d, func() {
-		c.remove(w)
-		p.resumeFn()
-	})
-	c.waiters = append(c.waiters, w)
+	c.enqueue(p)
+	p.timeoutEv = c.eng.After(d, p.timeoutFn)
 	p.yield()
-	return w.signaled
+	return p.signaled
+}
+
+func (c *Cond) enqueue(p *Proc) {
+	p.waitCond, p.signaled, p.timeoutEv = c, false, nil
+	c.waiters = append(c.waiters, p)
 }
 
 // Signal wakes the longest-waiting process, if any. The waiter resumes at
@@ -51,33 +49,33 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.wake(w)
+	p := c.waiters[0]
+	c.remove(p)
+	c.wake(p)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		c.wake(w)
+	// wake only schedules resumptions, so no waiter runs (or re-enqueues)
+	// before the loop finishes and the array can be reused.
+	for _, p := range c.waiters {
+		c.wake(p)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
-func (c *Cond) wake(w *condWaiter) {
-	w.signaled = true
-	if w.timeoutEv != nil {
-		w.timeoutEv.Cancel()
+func (c *Cond) wake(p *Proc) {
+	p.signaled = true
+	if p.timeoutEv != nil {
+		p.timeoutEv.Cancel()
+		p.timeoutEv = nil
 	}
-	c.eng.After(0, w.p.resumeFn)
+	c.eng.After(0, p.resumeFn)
 }
 
-func (c *Cond) remove(w *condWaiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
+func (c *Cond) remove(p *Proc) {
+	if i := slices.Index(c.waiters, p); i >= 0 {
+		c.waiters = slices.Delete(c.waiters, i, i+1)
 	}
 }

@@ -3,11 +3,11 @@
 //
 // The engine maintains a virtual clock measured in CPU cycles and an event
 // heap ordered by (time, insertion sequence). Simulated activities run as
-// processes (Proc): goroutines that execute strictly one at a time, handing
-// control back to the engine whenever they block (Delay, Cond.Wait, ...).
-// Because at most one goroutine runs at any instant and ties in the event
-// heap are broken by insertion order, a simulation with a fixed seed is
-// fully deterministic.
+// processes (Proc): iter.Pull coroutines that execute strictly one at a
+// time, handing control back to the engine whenever they block (Delay,
+// Cond.Wait, ...). Because at most one coroutine runs at any instant and
+// ties in the event heap are broken by insertion order, a simulation with
+// a fixed seed is fully deterministic.
 //
 // The package is the foundation for every other simulated component in this
 // repository: cores, TLBs, APICs and kernel code are all expressed as
@@ -173,12 +173,11 @@ func (q *heapQueue) nextTime() (Time, bool) {
 // cooperatively and never run in parallel with the engine or each other.
 // Distinct Engines share nothing and may run concurrently.
 type Engine struct {
-	now   Time
-	q     eventQueue
-	kind  EngineKind
-	seq   uint64
-	sched chan struct{}
-	rng   *Rand
+	now  Time
+	q    eventQueue
+	kind EngineKind
+	seq  uint64
+	rng  *Rand
 
 	// free is the event free list: every fired or drained-cancelled event
 	// is recycled here, so steady-state scheduling (Delay, Yield, cond
@@ -189,7 +188,6 @@ type Engine struct {
 	procs     []*Proc
 	procErr   error
 	current   *Proc
-	draining  bool
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -215,10 +213,9 @@ func NewEngineKind(kind EngineKind, seed uint64) *Engine {
 		panic(fmt.Sprintf("sim: unknown engine kind %q", kind))
 	}
 	return &Engine{
-		q:     q,
-		kind:  kind,
-		sched: make(chan struct{}),
-		rng:   NewRand(seed),
+		q:    q,
+		kind: kind,
+		rng:  NewRand(seed),
 	}
 }
 
@@ -304,22 +301,24 @@ func (e *Engine) RunUntil(horizon Time) {
 	}
 }
 
-// errShutdown is the poison delivered to parked processes during Shutdown;
-// yielding processes re-panic with it, and the proc trampoline swallows it.
+// errShutdown is the poison a parked process panics with when Shutdown
+// stops its coroutine: the panic unwinds the body (running its defers) and
+// the proc trampoline swallows it.
 var errShutdown = errors.New("sim: engine shut down")
 
 // Shutdown drains the engine after the simulation is over: every process
 // that is still blocked (on a Delay that will never elapse under a panicked
-// run, a Cond with no future signal, an idle CPU loop, ...) is woken one
-// last time and unwound, so its goroutine exits. Without this, every booted
-// machine parks its per-CPU loops forever — across thousands of pooled runs
-// that is an unbounded goroutine leak.
+// run, a Cond with no future signal, an idle CPU loop, ...) has its
+// coroutine stopped, which unwinds the body so its goroutine exits. A
+// process whose start event never fired is stopped without running its
+// body at all. Without this, every booted machine parks its per-CPU loops
+// forever — across thousands of pooled runs that is an unbounded goroutine
+// leak.
 //
 // Shutdown must be called from the goroutine that drives the engine, after
 // Run/RunUntil returned or panicked. The engine must not be used afterwards.
 // It is idempotent, and LiveProcs reports 0 once it returns.
 func (e *Engine) Shutdown() {
-	e.draining = true
 	// Index loop: a dying process could in principle spawn another during
 	// unwind; appended procs are drained in the same pass.
 	for i := 0; i < len(e.procs); i++ {
@@ -327,7 +326,12 @@ func (e *Engine) Shutdown() {
 		if p.done {
 			continue
 		}
-		e.resume(p)
+		prev := e.current
+		e.current = p
+		p.stop()
+		e.current = prev
+		p.done = true
+		e.liveProcs--
 	}
 	e.procs = nil
 	if e.q != nil {
@@ -343,11 +347,13 @@ func (e *Engine) Shutdown() {
 // lock acquisitions, PTE writes — to the simulated actor performing them.
 func (e *Engine) Current() *Proc { return e.current }
 
-// resume hands control to p and blocks until p yields back.
+// resume hands control to p and returns when p blocks or its body returns.
 func (e *Engine) resume(p *Proc) {
 	prev := e.current
 	e.current = p
-	p.wake <- struct{}{}
-	<-e.sched
+	if _, ok := p.next(); !ok {
+		p.done = true
+		e.liveProcs--
+	}
 	e.current = prev
 }

@@ -124,7 +124,38 @@ func TestEngineChurnScalesFlat(t *testing.T) {
 	t.Fatal(last)
 }
 
-// event scheduling plus the two channel handoffs of a cooperative switch.
+// TestProcSwitchOverheadBounded guards the coroutine switch: a Delay round
+// trip (BenchmarkProcDelay) is one event plus two coroutine switches, and
+// must cost at most 10x a bare event (BenchmarkEventLoop). The bound sits
+// between a goroutine handoff through two channels (about 14x on a 2-vCPU
+// host) and a coroutine switch (about 5x). Timing is damped by taking the
+// best ratio of several attempts.
+func TestProcSwitchOverheadBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmarking is slow; run without -short")
+	}
+	const bound = 10
+	best := 0.0
+	for attempt := 0; attempt < 5; attempt++ {
+		event := float64(testing.Benchmark(BenchmarkEventLoop).NsPerOp())
+		delay := float64(testing.Benchmark(BenchmarkProcDelay).NsPerOp())
+		if event == 0 {
+			continue
+		}
+		ratio := delay / event
+		if best == 0 || ratio < best {
+			best = ratio
+		}
+		if best <= bound {
+			return
+		}
+	}
+	t.Fatalf("Delay round trip costs %.1fx a bare event, want <= %dx", best, bound)
+}
+
+// BenchmarkProcDelay measures one Delay round trip: event scheduling plus
+// the two coroutine switches (the body yields to the engine, the engine
+// resumes the body).
 func BenchmarkProcDelay(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("worker", func(p *Proc) {
@@ -189,5 +220,49 @@ func TestDelayIsAllocationFree(t *testing.T) {
 	allocs := after.Mallocs - before.Mallocs
 	if allocs > 500 {
 		t.Fatalf("10000 warm Delay round trips allocated %d objects, want ~0", allocs)
+	}
+}
+
+// TestCondWaitIsAllocationFree extends TestDelayIsAllocationFree to cond
+// waits: the waiter record and the timeout callback live in the Proc, so
+// a warm Wait/Signal or WaitTimeout round trip allocates nothing.
+func TestCondWaitIsAllocationFree(t *testing.T) {
+	e := NewEngine(1)
+	c := e.NewCond()
+	const rounds = 11_000
+	woken, timedOut := 0, 0
+	e.Go("signaler", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			c.Signal()
+			p.Delay(2)
+		}
+	})
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			if i%2 == 0 {
+				c.Wait(p)
+				woken++
+			} else if c.WaitTimeout(p, 1) {
+				woken++
+			} else {
+				timedOut++
+			}
+		}
+	})
+	// Warm up: the first window grows the event store, free list and the
+	// cond's waiter array.
+	e.RunUntil(2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.RunUntil(2 * rounds)
+	runtime.ReadMemStats(&after)
+	e.Run()
+	e.Shutdown()
+	if woken+timedOut != rounds || timedOut == 0 {
+		t.Fatalf("woken %d, timed out %d; want %d waits with some timeouts", woken, timedOut, rounds)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	if allocs > 500 {
+		t.Fatalf("~10000 warm cond waits allocated %d objects, want ~0", allocs)
 	}
 }

@@ -100,8 +100,9 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		e.Run()
 		e.Shutdown()
 	}
-	// The unwound goroutines finish asynchronously after their final
-	// channel send; yield until they exit.
+	// A stopped coroutine's goroutine exits inside stop(); the loop only
+	// absorbs goroutines earlier tests in this binary may still be
+	// winding down.
 	var after int
 	for i := 0; i < 20000; i++ {
 		after = runtime.NumGoroutine()

@@ -76,10 +76,11 @@ func DefaultConfig() Config {
 type TLB struct {
 	cfg Config
 
-	e4k map[entryKey]*Entry
-	e2m map[entryKey]*Entry
+	e4k map[entryKey]Entry
+	e2m map[entryKey]Entry
 	// FIFO rings for eviction; entries removed by flushes are skipped
-	// lazily when their seq no longer matches.
+	// lazily when their seq no longer matches, and dropped in bulk by
+	// Fill once they outnumber the live slots (see appendSlot).
 	ring4k, ring2m []ringSlot
 	head4k, head2m int
 	seq            uint64
@@ -136,8 +137,8 @@ func New(cfg Config) *TLB {
 	}
 	return &TLB{
 		cfg: cfg,
-		e4k: make(map[entryKey]*Entry),
-		e2m: make(map[entryKey]*Entry),
+		e4k: make(map[entryKey]Entry),
+		e2m: make(map[entryKey]Entry),
 		pwc: make(map[uint64]uint64),
 	}
 }
@@ -178,12 +179,12 @@ func (t *TLB) Lookup(pcid PCID, va uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
-func (t *TLB) hit(pcid PCID, va uint64, e *Entry) Entry {
+func (t *TLB) hit(pcid PCID, va uint64, e Entry) Entry {
 	t.stats.Hits++
 	if t.obs != nil && t.obs.Hit != nil {
-		t.obs.Hit(pcid, va, *e)
+		t.obs.Hit(pcid, va, e)
 	}
-	return *e
+	return e
 }
 
 // globalSpace is the internal PCID tag for global entries.
@@ -204,17 +205,17 @@ func (t *TLB) Fill(pcid PCID, e Entry) {
 	case pagetable.Size2M:
 		key := entryKey{pcid, vpn2m(e.VA)}
 		if _, exists := t.e2m[key]; !exists && len(t.e2m) >= t.cfg.Cap2M {
-			t.evict(&t.e2m, &t.ring2m, &t.head2m)
+			t.evict(t.e2m, t.ring2m, &t.head2m)
 		}
-		t.e2m[key] = &e
-		t.ring2m = append(t.ring2m, ringSlot{key, e.seq})
+		t.e2m[key] = e
+		t.ring2m = appendSlot(t.e2m, t.ring2m, &t.head2m, ringSlot{key, e.seq})
 	default:
 		key := entryKey{pcid, vpn4k(e.VA)}
 		if _, exists := t.e4k[key]; !exists && len(t.e4k) >= t.cfg.Cap4K {
-			t.evict(&t.e4k, &t.ring4k, &t.head4k)
+			t.evict(t.e4k, t.ring4k, &t.head4k)
 		}
-		t.e4k[key] = &e
-		t.ring4k = append(t.ring4k, ringSlot{key, e.seq})
+		t.e4k[key] = e
+		t.ring4k = appendSlot(t.e4k, t.ring4k, &t.head4k, ringSlot{key, e.seq})
 	}
 	if t.obs != nil && t.obs.Fill != nil {
 		t.obs.Fill(pcid, e)
@@ -246,27 +247,42 @@ func (t *TLB) EvictPage(pcid PCID, va uint64) {
 	}
 }
 
-func (t *TLB) evict(m *map[entryKey]*Entry, ring *[]ringSlot, head *int) {
-	for *head < len(*ring) {
-		slot := (*ring)[*head]
+func (t *TLB) evict(m map[entryKey]Entry, ring []ringSlot, head *int) {
+	for *head < len(ring) {
+		slot := ring[*head]
 		*head++
-		if e, ok := (*m)[slot.key]; ok && e.seq == slot.seq {
-			delete(*m, slot.key)
+		if e, ok := m[slot.key]; ok && e.seq == slot.seq {
+			delete(m, slot.key)
 			t.stats.Evictions++
-			t.compact(ring, head)
 			return
 		}
 	}
-	t.compact(ring, head)
 }
 
-// compact trims consumed ring prefix occasionally to bound memory.
-func (t *TLB) compact(ring *[]ringSlot, head *int) {
-	if *head > 4096 && *head*2 > len(*ring) {
-		n := copy(*ring, (*ring)[*head:])
-		*ring = (*ring)[:n]
-		*head = 0
+// ringSlack is the number of slots a ring may hold beyond twice its live
+// entries before appendSlot trims it.
+const ringSlack = 64
+
+// appendSlot appends slot to ring and returns the ring. Flushes delete
+// entries without touching the ring, and evict (the only consumer) never
+// runs while flushes keep the TLB under capacity, so appendSlot itself
+// keeps the ring bounded: once it holds more than twice the live entries
+// plus ringSlack slots, the consumed prefix and the stale slots are
+// dropped in place. Every live entry keeps exactly its latest slot and the
+// survivors keep their order, so evict — which skips stale slots anyway —
+// evicts in the same order.
+func appendSlot(m map[entryKey]Entry, ring []ringSlot, head *int, slot ringSlot) []ringSlot {
+	if len(ring) > 2*len(m)+ringSlack {
+		n := 0
+		for _, s := range ring[*head:] {
+			if e, ok := m[s.key]; ok && e.seq == s.seq {
+				ring[n] = s
+				n++
+			}
+		}
+		ring, *head = ring[:n], 0
 	}
+	return append(ring, slot)
 }
 
 // FlushPage implements a single-address invalidation (INVLPG/INVPCID
@@ -399,10 +415,10 @@ const GlobalTag = globalSpace
 func (t *TLB) Snapshot() []SnapshotEntry {
 	out := make([]SnapshotEntry, 0, t.Len())
 	for k, e := range t.e4k {
-		out = append(out, SnapshotEntry{k.pcid, *e})
+		out = append(out, SnapshotEntry{k.pcid, e})
 	}
 	for k, e := range t.e2m {
-		out = append(out, SnapshotEntry{k.pcid, *e})
+		out = append(out, SnapshotEntry{k.pcid, e})
 	}
 	return out
 }

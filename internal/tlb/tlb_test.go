@@ -252,3 +252,74 @@ func TestCapacityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fifoModel is the eviction reference: every fill appends a slot that is
+// never dropped, and an eviction pops slots until one still names the
+// key's latest fill — the untrimmed ring discipline.
+type fifoModel struct {
+	cap   int
+	live  map[entryKey]uint64 // key -> seq of its latest fill
+	slots []ringSlot
+	seq   uint64
+}
+
+func (m *fifoModel) fill(key entryKey) {
+	m.seq++
+	if _, ok := m.live[key]; !ok && len(m.live) >= m.cap {
+		for {
+			s := m.slots[0]
+			m.slots = m.slots[1:]
+			if seq, ok := m.live[s.key]; ok && seq == s.seq {
+				delete(m.live, s.key)
+				break
+			}
+		}
+	}
+	m.live[key] = m.seq
+	m.slots = append(m.slots, ringSlot{key, m.seq})
+}
+
+// TestFlushHeavyRingStaysBounded: a fill/flush loop that never reaches
+// capacity (so evict never runs) must not grow the FIFO ring without
+// bound, and trimming the stale slots must leave eviction order exactly
+// that of the untrimmed ring.
+func TestFlushHeavyRingStaysBounded(t *testing.T) {
+	tl := small()
+	model := &fifoModel{cap: 8, live: map[entryKey]uint64{}}
+	x := uint64(12345)
+	rnd := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 33) % n
+	}
+	maxRing := 0
+	for i := 0; i < 20_000; i++ {
+		pcid := PCID(1 + rnd(2))
+		va := rnd(24) << pagetable.PageShift4K
+		key := entryKey{pcid, vpn4k(va)}
+		tl.Fill(pcid, e4(va, 1+uint64(i)))
+		model.fill(key)
+		// Flush-heavy phase: drop what was just filled, keeping the TLB
+		// far below capacity; later, let capacity evictions run too.
+		if i < 10_000 || rnd(3) == 0 {
+			tl.FlushPage(pcid, va)
+			delete(model.live, key)
+		}
+		if n := len(tl.ring4k); n > maxRing {
+			maxRing = n
+		}
+		if tl.Len() != len(model.live) {
+			t.Fatalf("step %d: TLB holds %d entries, model %d", i, tl.Len(), len(model.live))
+		}
+		for k := range model.live {
+			if _, ok := tl.e4k[k]; !ok {
+				t.Fatalf("step %d: model entry %+v missing from TLB: eviction order diverged", i, k)
+			}
+		}
+	}
+	if limit := 2*8 + ringSlack + 1; maxRing > limit {
+		t.Fatalf("ring grew to %d slots, want <= %d", maxRing, limit)
+	}
+	if tl.Stats().Evictions == 0 {
+		t.Fatal("no capacity eviction ran; the order check was vacuous")
+	}
+}

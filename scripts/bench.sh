@@ -75,15 +75,18 @@ done
 exp_json=${exp_json%,}
 
 echo "==> event-loop microbenchmarks" >&2
-${GO} test -run '^$' -bench 'BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkEngineChurn' -benchmem ./internal/sim/ >"$BENCH_OUT"
+${GO} test -run '^$' -bench 'BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkProcPingPong|BenchmarkEngineChurn' -benchmem ./internal/sim/ >"$BENCH_OUT"
 
 # "BenchmarkEventLoop  85503980  12.64 ns/op  0 B/op  0 allocs/op"
 loop_line=$(grep '^BenchmarkEventLoop' "$BENCH_OUT" | head -1)
 delay_line=$(grep '^BenchmarkProcDelay' "$BENCH_OUT" | head -1)
+pingpong_line=$(grep '^BenchmarkProcPingPong' "$BENCH_OUT" | head -1)
 loop_ns=$(echo "$loop_line" | awk '{print $3}')
 loop_allocs=$(echo "$loop_line" | awk '{print $7}')
 delay_ns=$(echo "$delay_line" | awk '{print $3}')
 delay_allocs=$(echo "$delay_line" | awk '{print $7}')
+pingpong_ns=$(echo "$pingpong_line" | awk '{print $3}')
+pingpong_allocs=$(echo "$pingpong_line" | awk '{print $7}')
 
 # Scale grid: "BenchmarkEngineChurn/wheel/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
 # -> one row per (engine, cpus) cell; ns/event must stay flat with width
@@ -102,8 +105,8 @@ churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     printf '  "workers": %s,\n' "$WORKERS"
     printf '  "note": "speedup needs spare cores: on a 1-CPU host parallel==serial by design; outputs are byte-identical at every worker count",\n'
     printf '  "experiments": [%s],\n' "$exp_json"
-    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s},\n' \
-        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs"
+    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_pingpong": %s, "allocs_per_pingpong": %s},\n' \
+        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$pingpong_ns" "$pingpong_allocs"
     printf '  "engine_churn": [%s]\n' "$churn_json"
     printf '}\n'
 } >"$OUT"
