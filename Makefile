@@ -27,8 +27,8 @@ lint:
 	$(GO) run ./cmd/tlbvet
 
 ## vet: both type-checked analysis tiers (typedlint + the ssa IR analyzers:
-## flush obligations, lock order, ipistate DFA, detflow taint, parallelsafe,
-## mhp may-happen-in-parallel, lockset race-discipline proofs, and the
+## flush obligations, lock order, ipistate DFA, detflow taint, mhp
+## may-happen-in-parallel, lockset race-discipline proofs, and the
 ## fabproof numeric obligations over the async fabric)
 vet:
 	$(GO) run ./cmd/tlbvet

@@ -170,7 +170,7 @@ func BenchmarkSerializedIPIContention(b *testing.B) {
 func BenchmarkLazyRemoteShootdown(b *testing.B) {
 	var r workload.LazyProbeResult
 	for i := 0; i < b.N; i++ {
-		r = workload.RunLazyProbe(workload.Safe, core.Config{LazyRemote: true}, uint64(i+1))
+		r = workload.RunLazyProbe(workload.Env{}, workload.Safe, core.Config{LazyRemote: true}, uint64(i+1))
 	}
 	b.ReportMetric(float64(r.MadviseCycles), "sim-madvise-cycles")
 }

@@ -25,12 +25,12 @@
 // disguised banned imports, hooks that mutate observed state — and
 // internal/sanitizer/ssa — undischarged flush obligations, static
 // lock-order cycles, the ipistate shootdown-lifecycle DFA, the detflow
-// nondeterminism-taint proof, the parallelsafe restore-discipline proof,
-// the concurrency-proof pair (mhp may-happen-in-parallel contexts
-// plus lockset discharge proofs for every race-instrumented field), and
-// the fabproof numeric tier (abstract-interpretation proofs of the async
-// fabric's ring bounds, counter monotonicity and coalescing soundness),
-// all interprocedural over an SSA IR.
+// nondeterminism-taint proof, the concurrency-proof pair (mhp
+// may-happen-in-parallel contexts plus lockset discharge proofs for every
+// race-instrumented field), and the fabproof numeric tier
+// (abstract-interpretation proofs of the async fabric's ring bounds,
+// counter monotonicity and coalescing soundness), all interprocedural over
+// an SSA IR.
 //
 // Usage:
 //
@@ -50,7 +50,6 @@ import (
 	"strings"
 
 	"shootdown/internal/experiments"
-	"shootdown/internal/fault"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
 	"shootdown/internal/sanitizer/lint"
@@ -76,20 +75,10 @@ func main() {
 	flag.Parse()
 	sched.SetWorkers(*parallel)
 
-	faultSpec, err := fault.Parse(*faults)
+	env, err := workload.ParseEnv(*faults, *tlbmode, "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
 		os.Exit(2)
-	}
-	switch *tlbmode {
-	case "", "sync", "async":
-	default:
-		fmt.Fprintf(os.Stderr, "tlbcheck: -tlbmode must be sync or async\n")
-		os.Exit(2)
-	}
-	if *tlbmode != "" {
-		restore := workload.SetTLBMode(*tlbmode)
-		defer restore()
 	}
 
 	if *doLint {
@@ -99,9 +88,9 @@ func main() {
 		os.Exit(runVet())
 	}
 	if *raceModel {
-		os.Exit(runRaceModel(*run, *quick, *seed, *verbose, faultSpec))
+		os.Exit(runRaceModel(*run, *quick, *seed, *verbose, env))
 	}
-	os.Exit(runSanitized(*run, *quick, *seed, *verbose, faultSpec))
+	os.Exit(runSanitized(*run, *quick, *seed, *verbose, env))
 }
 
 func runVet() int {
@@ -150,12 +139,12 @@ func runLint(patterns []string) int {
 	return 0
 }
 
-func runSanitized(run string, quick bool, seed uint64, verbose bool, faults fault.Spec) int {
+func runSanitized(run string, quick bool, seed uint64, verbose bool, env workload.Env) int {
 	names := experiments.Names()
 	if !strings.EqualFold(run, "all") {
 		names = strings.Split(run, ",")
 	}
-	opts := experiments.Options{Quick: quick, Seed: seed, Sanitize: true, Faults: faults}
+	opts := experiments.Options{Quick: quick, Seed: seed, Env: env}
 	summaries := make([]*sanitizer.Summary, 0, len(names))
 	total := &sanitizer.Summary{}
 	for _, name := range names {
@@ -186,12 +175,12 @@ func runSanitized(run string, quick bool, seed uint64, verbose bool, faults faul
 	return 0
 }
 
-func runRaceModel(run string, quick bool, seed uint64, verbose bool, faults fault.Spec) int {
+func runRaceModel(run string, quick bool, seed uint64, verbose bool, env workload.Env) int {
 	names := experiments.Names()
 	if !strings.EqualFold(run, "all") {
 		names = strings.Split(run, ",")
 	}
-	opts := experiments.Options{Quick: quick, Seed: seed, Faults: faults}
+	opts := experiments.Options{Quick: quick, Seed: seed, Env: env}
 	total := &race.Summary{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)

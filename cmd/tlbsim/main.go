@@ -18,10 +18,7 @@ import (
 	"strings"
 
 	"shootdown/internal/experiments"
-	"shootdown/internal/fault"
-	"shootdown/internal/mach"
 	"shootdown/internal/sched"
-	"shootdown/internal/sim"
 	"shootdown/internal/workload"
 )
 
@@ -36,49 +33,14 @@ func main() {
 		faults   = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides")
 		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
 		topo     = flag.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
-		engine   = flag.String("engine", "", "event-scheduler implementation: wheel or heap (default: wheel); both realize the identical event order")
 	)
 	flag.Parse()
 	sched.SetWorkers(*parallel)
 
-	spec, err := fault.Parse(*faults)
+	env, err := workload.ParseEnv(*faults, *tlbmode, *topo)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
 		os.Exit(2)
-	}
-	switch *tlbmode {
-	case "", "sync", "async":
-	default:
-		fmt.Fprintf(os.Stderr, "tlbsim: -tlbmode must be sync or async\n")
-		os.Exit(2)
-	}
-	if *tlbmode != "" {
-		restore := workload.SetTLBMode(*tlbmode)
-		defer restore()
-	}
-	if *topo != "" {
-		t, err := mach.ParseTopology(*topo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
-			os.Exit(2)
-		}
-		restore := workload.SetTopology(t)
-		defer restore()
-	}
-	kind, err := sim.ParseEngineKind(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
-		os.Exit(2)
-	}
-	if *engine != "" {
-		restore := workload.SetEngineKind(kind)
-		defer restore()
-	}
-	if !spec.Zero() || spec.NoRetry {
-		// Installed once, before any experiment boots a world; restored on
-		// exit only for symmetry — the process ends right after.
-		restore := workload.SetFaultSpec(spec)
-		defer restore()
 	}
 
 	if *list || *exp == "" {
@@ -98,7 +60,7 @@ func main() {
 		names = experiments.Names()
 	}
 	reg := experiments.Registry()
-	opts := experiments.Options{Quick: *quick, Seed: *seed}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Env: env}
 	for _, name := range names {
 		runner, ok := reg[name]
 		if !ok {

@@ -33,8 +33,6 @@
 //   - detflow: nondeterminism-taint — time.Now, math/rand, map-range
 //     order and select arms must never reach simulated state, digests,
 //     stats or event timestamps
-//   - parallelsafe: whole-program restore-discipline proof for
-//     package-level vars in simulated packages
 //   - stalemarker: suppression markers nothing consumed are findings
 //     ("obligation-transferred:" and "lock-free-by-design:" alike)
 //   - costliteral: constant cycle costs (including named constants and

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"shootdown/internal/core"
-	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/pagetable"
 	"shootdown/internal/report"
@@ -27,15 +26,11 @@ type Options struct {
 	Quick bool
 	// Seed derives all run seeds.
 	Seed uint64
-	// Sanitize attaches the shadow-oracle coherence checker (see
-	// internal/sanitizer) to every machine the experiment boots. Only
-	// honoured by Run; direct Runner calls stay unchecked.
-	Sanitize bool
-	// Faults is the fault schedule injected into every machine the
-	// experiment boots (zero injects nothing). Honoured by Run and
-	// RunRace, which install it as the package-wide workload spec for the
-	// duration of the experiment; direct Runner calls stay unfaulted.
-	Faults fault.Spec
+	// Env is the machine every cell boots (fault schedule, dispatch-tier
+	// override, topology, boot hook); the zero Env is the paper's
+	// testbed. The hand-booted extension probes (HW message IPIs,
+	// paravirtual hint, PCID) always run on the default machine.
+	Env workload.Env
 }
 
 // DefaultOptions returns the full-scale settings.
@@ -126,7 +121,7 @@ func microFigure(o Options, mode workload.Mode, ptes int, title string) []*repor
 	results := sched.Collect(len(configs)*len(placements), func(i int) workload.MicroResult {
 		cc, pl := configs[i/len(placements)], placements[i%len(placements)]
 		return workload.RunMicro(workload.MicroConfig{
-			Mode: mode, Core: cc, Placement: pl, PTEs: ptes,
+			Env: o.Env, Mode: mode, Core: cc, Placement: pl, PTEs: ptes,
 			Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 	})
@@ -206,7 +201,7 @@ func Table3(o Options) []*report.Table {
 			cc = configs[len(configs)-1]
 		}
 		return workload.RunMicro(workload.MicroConfig{
-			Mode: mode, Core: cc, Placement: mach.PlaceCrossSocket,
+			Env: o.Env, Mode: mode, Core: cc, Placement: mach.PlaceCrossSocket,
 			PTEs: ptesList[i/4], Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 	})
@@ -253,7 +248,7 @@ func Fig9(o Options) []*report.Table {
 	results := sched.Collect(len(modes)*3, func(i int) stats.Summary {
 		mode := modes[i/3]
 		return workload.RunCoW(workload.CoWConfig{
-			Mode: mode, Core: cfgsFor(mode)[i%3], Pages: pages, Runs: runs, Seed: o.seed(),
+			Env: o.Env, Mode: mode, Core: cfgsFor(mode)[i%3], Pages: pages, Runs: runs, Seed: o.seed(),
 		})
 	})
 	for mi, mode := range modes {
@@ -287,7 +282,7 @@ func Fig10(o Options) []*report.Table {
 		// One job per (thread count, config) cell, reassembled row-major.
 		cells := sched.Collect(len(threads)*len(configs), func(i int) workload.SysbenchResult {
 			return runSysbenchAveraged(workload.SysbenchConfig{
-				Mode: mode, Core: configs[i%len(configs)], Threads: threads[i/len(configs)],
+				Env: o.Env, Mode: mode, Core: configs[i%len(configs)], Threads: threads[i/len(configs)],
 				HotPages: 2048, WritesPerSync: 64, Syncs: syncs,
 				ComputePerWrite: 8000, Seed: o.seed(),
 			}, o)
@@ -348,7 +343,7 @@ func Fig11(o Options) []*report.Table {
 		// One job per (core count, config) cell, reassembled row-major.
 		cells := sched.Collect(len(cores)*len(configs), func(i int) workload.ApacheResult {
 			return workload.RunApache(workload.ApacheConfig{
-				Mode: mode, Core: configs[i%len(configs)], Cores: cores[i/len(configs)],
+				Env: o.Env, Mode: mode, Core: configs[i%len(configs)], Cores: cores[i/len(configs)],
 				RequestsPerCore: reqs,
 				FilePages:       3, ParseCycles: 52000, SendCycles: 40000,
 				OfferedInterArrival: 13333, Seed: o.seed(),

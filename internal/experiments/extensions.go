@@ -37,7 +37,7 @@ func extSerialized(o Options) *report.Table {
 	// Cell i: initiator count i/2, serialized on odd indices.
 	results := sched.Collect(len(inits)*2, func(i int) uint64 {
 		return workload.RunContention(workload.ContentionConfig{
-			Mode: workload.Safe, Core: core.Config{SerializedIPIs: i%2 == 1},
+			Env: o.Env, Mode: workload.Safe, Core: core.Config{SerializedIPIs: i%2 == 1},
 			Initiators: inits[i/2], Iterations: iters, Seed: o.seed(),
 		})
 	})
@@ -60,7 +60,7 @@ func extLazy(o Options) *report.Table {
 		if i == 1 {
 			cfg = core.Config{LazyRemote: true}
 		}
-		return workload.RunLazyProbe(workload.Safe, cfg, o.seed())
+		return workload.RunLazyProbe(o.Env, workload.Safe, cfg, o.seed())
 	})
 	sync, lazy := probes[0], probes[1]
 	tab.AddRow("synchronous (paper/Linux)", report.Cycles(float64(sync.MadviseCycles)), sync.Deferred, sync.StaleWindow)
@@ -125,7 +125,7 @@ func Daemons(o Options) []*report.Table {
 	// stay adjacent and the per-config mean reduces over a contiguous span.
 	cells := sched.Collect(len(configs)*seeds, func(i int) workload.DaemonStormResult {
 		return workload.RunDaemonStorm(workload.DaemonStormConfig{
-			Mode: workload.Safe, Core: configs[i/seeds], AppThreads: 4, Rounds: rounds,
+			Env: o.Env, Mode: workload.Safe, Core: configs[i/seeds], AppThreads: 4, Rounds: rounds,
 			Seed: o.seed() + uint64(i%seeds)*7919,
 		})
 	})

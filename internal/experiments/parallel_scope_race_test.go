@@ -2,6 +2,10 @@
 
 package experiments
 
+// raceBuild reports whether the test binary carries the race detector;
+// the suite digests only cover the full-registry render.
+const raceBuild = true
+
 // parallelCheckScope under `go test -race`: the race detector makes the
 // full suite ×2 worker counts ×3 seeds prohibitively slow, so cover a
 // representative subset — microbenchmark cells (fig9, table3), the

@@ -12,24 +12,19 @@ import (
 // RunRace executes the named experiment with the happens-before race
 // detector (internal/race) attached to every machine the experiment boots,
 // returning the merged race summary alongside the tables. The detector is
+// installed as o.Env's boot hook, replacing any hook already there; it is
 // purely observational, so the tables are identical to an unchecked run.
 func RunRace(name string, o Options) ([]*report.Table, *race.Summary, error) {
 	runner, ok := Registry()[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	// Install the fault schedule before any world boots; the pool is idle
-	// here, which is SetFaultSpec's parallel-safety precondition.
-	if !o.Faults.Zero() || o.Faults.NoRetry {
-		restore := workload.SetFaultSpec(o.Faults)
-		defer restore()
-	}
 	// Worlds boot concurrently under the parallel scheduler; guard the
 	// shared slice. Merge sums order-independent counters, so the summary
 	// stays deterministic at any worker count.
 	var mu sync.Mutex
 	var detectors []*race.Detector
-	restore := workload.SetBootHook(func(w *workload.World) {
+	o.Env.BootHook = func(w *workload.World) {
 		d := race.New(w.Eng)
 		w.K.EnableRace(d)
 		// The flusher was built before the hook ran; re-wire its own sync
@@ -38,8 +33,7 @@ func RunRace(name string, o Options) ([]*report.Table, *race.Summary, error) {
 		mu.Lock()
 		detectors = append(detectors, d)
 		mu.Unlock()
-	})
-	defer restore()
+	}
 	tables := runner(o)
 	return tables, race.Merge(detectors), nil
 }

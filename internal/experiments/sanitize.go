@@ -9,10 +9,11 @@ import (
 	"shootdown/internal/workload"
 )
 
-// Run executes the named experiment from the registry. When o.Sanitize is
-// set, the shadow-oracle coherence checker is attached to every machine
-// the experiment boots and the merged summary is returned alongside the
-// tables; otherwise the summary is nil.
+// Run executes the named experiment from the registry with the
+// shadow-oracle coherence checker attached to every machine the
+// experiment boots, and returns the merged summary alongside the tables.
+// The checker is installed as o.Env's boot hook, replacing any hook
+// already there.
 //
 // The lazy-shootdown extension (core.Config.LazyRemote) is granted its
 // designed staleness window: hits on CPUs with queued lazy work are legal
@@ -22,29 +23,19 @@ func Run(name string, o Options) ([]*report.Table, *sanitizer.Summary, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	// Install the fault schedule before any world boots; the pool is idle
-	// here, which is SetFaultSpec's parallel-safety precondition.
-	if !o.Faults.Zero() || o.Faults.NoRetry {
-		restore := workload.SetFaultSpec(o.Faults)
-		defer restore()
-	}
-	if !o.Sanitize {
-		return runner(o), nil, nil
-	}
 	// Worlds boot concurrently under the parallel scheduler; the hook is
 	// the one cross-world touch point, so the slice needs a lock. Merge is
 	// an order-independent sum, so the summary stays deterministic.
 	var mu sync.Mutex
 	var checkers []*sanitizer.Checker
-	restore := workload.SetBootHook(func(w *workload.World) {
+	o.Env.BootHook = func(w *workload.World) {
 		c := sanitizer.Attach(w.K, w.F, sanitizer.Config{
 			AllowLazyWindow: w.F.Cfg.LazyRemote,
 		})
 		mu.Lock()
 		checkers = append(checkers, c)
 		mu.Unlock()
-	})
-	defer restore()
+	}
 	tables := runner(o)
 	return tables, sanitizer.Merge(checkers), nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"shootdown/internal/workload"
 )
 
 // TestSanitizedQuickSuite runs every registered experiment under the
@@ -16,7 +18,7 @@ func TestSanitizedQuickSuite(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			tables, sum, err := Run(name, Options{Quick: true, Seed: 1, Sanitize: true})
+			tables, sum, err := Run(name, Options{Quick: true, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -24,7 +26,7 @@ func TestSanitizedQuickSuite(t *testing.T) {
 				t.Fatal("experiment produced no tables")
 			}
 			if sum == nil {
-				t.Fatal("no summary despite Sanitize")
+				t.Fatal("Run returned no summary")
 			}
 			// table4 is a bare-TLB fracture study: no kernel is booted, so
 			// there is no machine to check.
@@ -46,14 +48,22 @@ func TestSanitizedQuickSuite(t *testing.T) {
 	}
 }
 
-// TestSanitizeOffReturnsNilSummary: the flag gates the checker entirely.
-func TestSanitizeOffReturnsNilSummary(t *testing.T) {
-	tables, sum, err := Run("fig5", Options{Quick: true, Seed: 1})
+// TestRunReplacesBootHook: Run always attaches the checker, through
+// o.Env's boot hook, so a caller's own hook never displaces it and every
+// booted machine is counted.
+func TestRunReplacesBootHook(t *testing.T) {
+	callerHookRan := false
+	o := Options{Quick: true, Seed: 1}
+	o.Env.BootHook = func(*workload.World) { callerHookRan = true }
+	tables, sum, err := Run("fig5", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum != nil {
-		t.Fatal("summary returned without Sanitize")
+	if sum == nil || sum.Worlds == 0 {
+		t.Fatalf("Run attached the checker to no machine: %+v", sum)
+	}
+	if callerHookRan {
+		t.Fatal("caller's boot hook ran; Run must install its own")
 	}
 	if len(tables) == 0 {
 		t.Fatal("no tables")

@@ -18,9 +18,8 @@ import (
 // clusters and the ack wait touches hundreds of cache lines, which is
 // exactly where the cluster-fanned ICR writes and the per-cluster ack
 // aggregation (smp.ClusterAckStores) start to matter. Each cell is an
-// independent simulation with an explicit topology, so the sweep runs
-// under the parallel scheduler without touching the package-wide
-// topology override.
+// independent simulation whose ServerConfig.Topo pins its width over
+// o.Env's topology, so the sweep runs under the parallel scheduler.
 func ScaleSweep(o Options) []*report.Table {
 	cpus := []int{56, 256, 512}
 	syncCfg, asyncCfg := asyncTierConfigs()
@@ -31,6 +30,7 @@ func ScaleSweep(o Options) []*report.Table {
 
 	srv := func(topo mach.Topology, cc core.Config) workload.ServerConfig {
 		cfg := workload.DefaultServerConfig()
+		cfg.Env = o.Env
 		cfg.Core = cc
 		cfg.Topo = topo
 		cfg.Seed = o.seed()

@@ -291,7 +291,7 @@ func Parse(in string) (Spec, error) {
 		}
 		pStr, maxStr, hasMax := strings.Cut(val, ":")
 		p, err := strconv.ParseFloat(pStr, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // also rejects NaN
 			return Spec{}, fmt.Errorf("fault: %s wants a probability in [0,1], got %q", key, pStr)
 		}
 		var max uint64
@@ -328,6 +328,24 @@ func Parse(in string) (Spec, error) {
 		default:
 			return Spec{}, fmt.Errorf("fault: unknown key %q", key)
 		}
+	}
+	// A magnitude or burst bound whose probability is zero is inert, and
+	// String omits it; drop it so Parse(s.String()) == s for every spec
+	// Parse accepts.
+	if s.DelayP == 0 {
+		s.DelayMax = 0
+	}
+	if s.DropP == 0 {
+		s.DropBurstMax = 0
+	}
+	if s.StallP == 0 {
+		s.StallMax = 0
+	}
+	if s.AckDelayP == 0 {
+		s.AckDelayMax = 0
+	}
+	if s.PreemptP == 0 {
+		s.PreemptMax = 0
 	}
 	return s, nil
 }

@@ -223,10 +223,29 @@ func TestParseErrors(t *testing.T) {
 		"dropburst=x",
 		"stall=0.5:abc",
 		"frob=0.5",
+		"evict=NaN",
+		"delay=nan:100",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): want error, got none", in)
 		}
+	}
+}
+
+// TestParseDropsInertMagnitudes: a magnitude or burst bound without its
+// probability injects nothing and does not survive String, so Parse
+// drops it and every accepted spec round-trips.
+func TestParseDropsInertMagnitudes(t *testing.T) {
+	got, err := Parse("delay=0:5,dropburst=3,stall=0:9,ackdelay=0:7,preempt=0:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != (Spec{}) {
+		t.Fatalf("inert magnitudes kept: %+v", got)
+	}
+	got, err = Parse("dropburst=3,drop=0.5")
+	if err != nil || got != (Spec{DropP: 0.5, DropBurstMax: 3}) {
+		t.Fatalf("burst bound before its probability: %+v, %v", got, err)
 	}
 }
 

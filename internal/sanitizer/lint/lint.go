@@ -26,8 +26,8 @@
 //
 //   - parallelsafety: simulated packages must not declare mutable
 //     package-level state — concurrently booted worlds would share it,
-//     breaking both determinism and `go test -race`. Error sentinels and
-//     explicitly "parallel-safe:"-annotated declarations are exempt.
+//     breaking both determinism and `go test -race`. Only error sentinels
+//     and the blank identifier are exempt.
 package lint
 
 import (
@@ -100,8 +100,7 @@ func inCostScope(rel string) bool {
 // the module-relative path, which decides analyzer scope.
 func CheckSource(rel string, src []byte) ([]Finding, error) {
 	fset := token.NewFileSet()
-	// ParseComments: parallelsafety reads "parallel-safe:" doc markers.
-	f, err := parser.ParseFile(fset, rel, src, parser.SkipObjectResolution|parser.ParseComments)
+	f, err := parser.ParseFile(fset, rel, src, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}

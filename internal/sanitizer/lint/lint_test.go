@@ -94,8 +94,8 @@ func TestSharedAccessAnalyzerFires(t *testing.T) {
 
 func TestParallelSafetyAnalyzerFires(t *testing.T) {
 	fs := loadFixture(t, "bad_parallelsafety.go", "internal/kernel/fixture.go")
-	if got := countBy(fs, "parallelsafety"); got != 4 {
-		t.Fatalf("parallelsafety findings = %d, want 4 (flushCount, lastWorld, bootSeq, tick): %v", got, fs)
+	if got := countBy(fs, "parallelsafety"); got != 6 {
+		t.Fatalf("parallelsafety findings = %d, want 6 (flushCount, lastWorld, bootSeq, hook, mode, tick): %v", got, fs)
 	}
 }
 

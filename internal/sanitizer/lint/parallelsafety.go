@@ -15,17 +15,11 @@ import (
 // state — two concurrently booted machines would observe each other, which
 // is both a data race under `go test -race` and a determinism leak.
 //
-// The analyzer flags every package-level `var` in the simulated packages,
-// with two exceptions:
-//
-//   - immutable error sentinels (every initializer is errors.New or
-//     fmt.Errorf), the conventional Go error-identity pattern;
-//   - restore-disciplined vars: every write in the file happens inside a
-//     setter that saves the old value into a local and returns a closure
-//     restoring it (the SetBootHook/SetFaultSpec shape). The ssa tier's
-//     parallelsafe analyzer re-proves this whole-program;
-//   - declarations whose doc comment carries a "parallel-safe:" marker
-//     followed by the justification, for cases neither proof covers.
+// The analyzer flags every package-level `var` in the simulated packages
+// except immutable error sentinels (every initializer is errors.New or
+// fmt.Errorf, the conventional Go error-identity pattern) and the blank
+// identifier. There is no waiver: configuration a world needs travels in
+// its workload.Env, not in a global.
 var parallelScope = []string{
 	"internal/apic/", "internal/cache/", "internal/core/",
 	"internal/daemons/", "internal/fault/", "internal/kernel/",
@@ -45,29 +39,18 @@ func inParallelScope(rel string) bool {
 	return false
 }
 
-// ParallelScope returns the module-relative directory prefixes that make up
-// the simulated world — the packages whose state must be self-contained for
-// experiment cells to run concurrently. The ssa tier's detflow and
-// parallelsafe analyzers share this definition of "simulated state".
-func ParallelScope() []string {
-	return append([]string(nil), parallelScope...)
-}
-
 // InParallelScope reports whether the module-relative path rel lies inside
-// a simulated package.
+// a simulated package. The ssa tier's detflow analyzer shares this
+// definition of "simulated state".
 func InParallelScope(rel string) bool {
 	return inParallelScope(rel)
 }
 
 func checkParallelSafety(fset *token.FileSet, rel string, f *ast.File) []Finding {
 	var out []Finding
-	disciplined := restoreDisciplinedVars(f)
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
-			continue
-		}
-		if hasParallelSafeMarker(gd.Doc) {
 			continue
 		}
 		for _, spec := range gd.Specs {
@@ -75,29 +58,19 @@ func checkParallelSafety(fset *token.FileSet, rel string, f *ast.File) []Finding
 			if !ok || isErrorSentinel(vs) {
 				continue
 			}
-			if hasParallelSafeMarker(vs.Doc) {
-				continue
-			}
 			for _, id := range vs.Names {
-				if id.Name == "_" || disciplined[id.Name] {
+				if id.Name == "_" {
 					continue
 				}
 				out = append(out, Finding{
 					File: rel, Line: fset.Position(id.Pos()).Line,
 					Analyzer: "parallelsafety",
-					Msg:      fmt.Sprintf("package-level var %q in a simulated package: worlds run concurrently under internal/sched, so mutable globals are cross-world races — move it into the world's state, or document immutability with a parallel-safe: marker", id.Name),
+					Msg:      fmt.Sprintf("package-level var %q in a simulated package: worlds run concurrently under internal/sched, so mutable globals are cross-world races — move it into the world's state or its workload.Env", id.Name),
 				})
 			}
 		}
 	}
 	return out
-}
-
-// IsErrorSentinel reports whether every initializer of the spec is an
-// errors.New or fmt.Errorf call — the immutable error-identity pattern.
-// Exported for the ssa tier's whole-program parallelsafe proof.
-func IsErrorSentinel(vs *ast.ValueSpec) bool {
-	return isErrorSentinel(vs)
 }
 
 // isErrorSentinel reports whether every initializer of the spec is an
@@ -125,103 +98,4 @@ func isErrorSentinel(vs *ast.ValueSpec) bool {
 		}
 	}
 	return true
-}
-
-// restoreDisciplinedVars returns the package-level var names this file
-// writes only through restore-disciplined setters: a function that saves
-// the old value into a local (`prev := v`), reassigns v, and returns a
-// closure that restores the saved value (`return func() { v = prev }`).
-// Such a var behaves like a scoped override — callers hold the restore and
-// the scheduler pool is idle across the setter pair — so it is not the
-// cross-world shared state this analyzer hunts. Any write to the var
-// outside a setter voids the exemption.
-func restoreDisciplinedVars(f *ast.File) map[string]bool {
-	setters := make(map[*ast.FuncDecl]map[string]bool)
-	disciplined := make(map[string]bool)
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		vars := restoreSetterVars(fd)
-		setters[fd] = vars
-		for name := range vars {
-			disciplined[name] = true
-		}
-	}
-	if len(disciplined) == 0 {
-		return nil
-	}
-	// A write outside that var's own setters disqualifies it.
-	for fd, vars := range setters {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN {
-				return true
-			}
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && disciplined[id.Name] && !vars[id.Name] {
-					delete(disciplined, id.Name)
-				}
-			}
-			return true
-		})
-	}
-	return disciplined
-}
-
-// restoreSetterVars returns the vars fd is a restore-disciplined setter
-// for: some `local := v` definition is paired with a returned func literal
-// containing `v = local`.
-func restoreSetterVars(fd *ast.FuncDecl) map[string]bool {
-	saved := make(map[string]string) // local -> saved var
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		l, lok := as.Lhs[0].(*ast.Ident)
-		r, rok := as.Rhs[0].(*ast.Ident)
-		if lok && rok {
-			saved[l.Name] = r.Name
-		}
-		return true
-	})
-	vars := make(map[string]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			lit, ok := res.(*ast.FuncLit)
-			if !ok {
-				continue
-			}
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				as, ok := m.(*ast.AssignStmt)
-				if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-					return true
-				}
-				l, lok := as.Lhs[0].(*ast.Ident)
-				r, rok := as.Rhs[0].(*ast.Ident)
-				if lok && rok && saved[r.Name] == l.Name {
-					vars[l.Name] = true
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return vars
-}
-
-func hasParallelSafeMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	return strings.Contains(doc.Text(), "parallel-safe:")
 }

@@ -18,10 +18,11 @@ import (
 // installation site:
 //
 //   - assignment to a field whose name ends in "Hook"
-//     (k.ASHook = func(...){...})
+//     (k.ASHook = func(...){...}, env.BootHook = func(...){...})
 //   - a field value inside a composite literal of a type whose name ends
-//     in "Observer" or "Probe" (&mm.SemObserver{Acquired: func(...){...}})
-//   - an argument to SetObserver, SetProbe or SetBootHook
+//     in "Observer" or "Probe" (&mm.SemObserver{Acquired: func(...){...}}),
+//     or under a key ending in "Hook" (workload.Env{BootHook: func(...){...}})
+//   - an argument to SetObserver or SetProbe
 //
 // Inside a recognized hook body the analyzer flags assignments and ++/--
 // whose target is reached from a hook parameter (the simulated state under
@@ -66,21 +67,21 @@ func hookFuncLits(n ast.Node) []*ast.FuncLit {
 			}
 		}
 	case *ast.CompositeLit:
-		if !isObserverType(v.Type) {
-			return nil
-		}
+		observer := isObserverType(v.Type)
 		for _, el := range v.Elts {
 			kv, ok := el.(*ast.KeyValueExpr)
 			if !ok {
 				continue
 			}
-			if lit, ok := kv.Value.(*ast.FuncLit); ok {
+			key, _ := kv.Key.(*ast.Ident)
+			hookKey := key != nil && strings.HasSuffix(key.Name, "Hook")
+			if lit, ok := kv.Value.(*ast.FuncLit); ok && (observer || hookKey) {
 				out = append(out, lit)
 			}
 		}
 	case *ast.CallExpr:
 		name := calleeName(v.Fun)
-		if name != "SetObserver" && name != "SetProbe" && name != "SetBootHook" {
+		if name != "SetObserver" && name != "SetProbe" {
 			return nil
 		}
 		for _, arg := range v.Args {

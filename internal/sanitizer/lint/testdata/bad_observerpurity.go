@@ -15,9 +15,12 @@ type Probe struct {
 	ShootEnd   func(w *world)
 }
 
-var globalCount int
+// env mimics workload.Env, whose BootHook observes every booted world.
+type env struct {
+	BootHook func(w *world)
+}
 
-func SetBootHook(fn func(w *world)) {}
+var globalCount int
 
 func install(k *kernelT) {
 	seen := 0
@@ -38,7 +41,9 @@ func install(k *kernelT) {
 	}
 	_ = pr
 	_ = seen
-	SetBootHook(func(w *world) {
+	var e env
+	e.BootHook = func(w *world) {
 		w.Cycles = 7 // BAD: mutates observed state
-	})
+	}
+	_ = e
 }

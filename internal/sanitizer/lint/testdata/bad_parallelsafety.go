@@ -20,9 +20,19 @@ var (
 	ErrWrapped = fmt.Errorf("fixture: wrapped %d", 7)
 )
 
-// hook is set once before any world boots and only read afterwards.
-// parallel-safe: written only while the scheduler pool is idle.
-var hook func()
+// hook is set once before any world boots and only read afterwards, which
+// does not make it per-world state.
+var hook func() // want finding
+
+// mode is written only through a save/restore setter, which no longer
+// exempts it either.
+var mode string // want finding
+
+func setMode(m string) (restore func()) {
+	prev := mode
+	mode = m
+	return func() { mode = prev }
+}
 
 var (
 	// tick is mutable even though it hides in a group with a sentinel.

@@ -848,3 +848,30 @@ func itoa(i int) string {
 	}
 	return itoa(i/10) + itoa(i%10)
 }
+
+// storeRoot chases a store address through field/index/pointer chains to
+// the value that names the stored-into location.
+func storeRoot(v *Value) *Value {
+	for v != nil {
+		switch v.Kind {
+		case VFieldRead, VIndexRead, VAddr, VDeref:
+			v = v.Base
+		default:
+			return v
+		}
+	}
+	return nil
+}
+
+// chase looks through passthrough value kinds.
+func chase(v *Value) *Value {
+	for v != nil {
+		switch v.Kind {
+		case VAddr, VDeref:
+			v = v.Base
+		default:
+			return v
+		}
+	}
+	return nil
+}

@@ -25,9 +25,6 @@
 //     fault.Decide, map-range order, select arms, goroutine identity)
 //     must never flow into simulated state, StateDigest inputs, stats, or
 //     event timestamps; sorting sanitizes iteration-order taint.
-//   - parallelsafe: a whole-program restore-discipline proof for
-//     package-level mutable vars in simulated packages, retiring
-//     "parallel-safe:" suppression markers the syntactic tier needed.
 //   - stalemarker: suppression markers that no analyzer consumed are
 //     themselves findings, so retired suppressions cannot linger.
 //
@@ -222,7 +219,6 @@ var analyzerTable = []struct {
 	{"lockorder", checkLockOrder},
 	{"ipistate", checkIPIState},
 	{"detflow", checkDetFlow},
-	{"parallelsafe", checkParallelSafe},
 	{"mhp", checkMHP},
 	{"lockset", checkLockset},
 	{"fabproof", checkFabproof},

@@ -241,9 +241,7 @@ func TestXValAllProven(t *testing.T) {
 }
 
 // TestRepoIsCleanWithoutWaivers is the tier's bar: the whole tree passes
-// every ssa analyzer with zero findings AND zero suppressions — the
-// parallel-safe markers the syntactic tier needed are gone, replaced by
-// the whole-program restore-discipline proof.
+// every ssa analyzer with zero findings AND zero suppressions.
 func TestRepoIsCleanWithoutWaivers(t *testing.T) {
 	res := CheckModule(sharedModule(t))
 	if len(res.Findings) != 0 {
@@ -264,7 +262,7 @@ func TestWholeProgramCoverageFloor(t *testing.T) {
 		t.Fatal("typedlint visited 0 functions — the floor itself is broken")
 	}
 	res := CheckModule(m)
-	for _, an := range []string{"ipistate", "detflow", "parallelsafe", "mhp", "lockset", "fabproof"} {
+	for _, an := range []string{"ipistate", "detflow", "mhp", "lockset", "fabproof"} {
 		if got := res.FuncsVisited[an]; got < floor {
 			t.Fatalf("%s visited %d functions, below the typedlint floor %d", an, got, floor)
 		}

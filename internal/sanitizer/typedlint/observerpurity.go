@@ -28,11 +28,13 @@ import (
 //   - Methods declared in the instrumentation packages (race, trace,
 //     stats, sanitizer) are pure by convention — recording into the
 //     observer's own ledger is what observers are for.
-//   - workload.SetBootHook bodies are exempt from the method-call rule:
+//   - workload.Env.BootHook bodies are exempt from the method-call rule:
 //     the boot hook runs before the world starts, and attaching
 //     instrumentation there (k.EnableRace(d), f.EnableRace()) is its
-//     designed purpose. Direct writes through the parameter are still
-//     flagged, same as the syntactic tier.
+//     designed purpose. The exemption keys on the field itself, however
+//     the hook is installed (env.BootHook = ..., or an Env literal).
+//     Direct writes through the parameter are still flagged, same as the
+//     syntactic tier.
 var pureDeclPkgs = []string{
 	ModulePath + "/internal/race",
 	ModulePath + "/internal/trace",
@@ -73,7 +75,7 @@ func checkObserverPurityTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
 // hookInstall is one recognized hook literal plus its installation kind.
 type hookInstall struct {
 	lit  *ast.FuncLit
-	boot bool // installed via workload.SetBootHook
+	boot bool // installed as workload.Env.BootHook
 }
 
 // hookLits returns the hook function literals n installs, resolved with
@@ -92,7 +94,7 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 				continue
 			}
 			if lit, ok := v.Rhs[i].(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit})
+				out = append(out, hookInstall{lit: lit, boot: isBootHookField(info.Uses[sel.Sel])})
 			}
 		}
 	case *ast.CompositeLit:
@@ -105,16 +107,19 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 			return nil
 		}
 		name := named.Obj().Name()
-		if !strings.HasSuffix(name, "Observer") && !strings.HasSuffix(name, "Probe") {
-			return nil
-		}
+		observer := strings.HasSuffix(name, "Observer") || strings.HasSuffix(name, "Probe")
 		for _, el := range v.Elts {
 			kv, ok := el.(*ast.KeyValueExpr)
 			if !ok {
 				continue
 			}
-			if lit, ok := kv.Value.(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit})
+			lit, ok := kv.Value.(*ast.FuncLit)
+			if !ok {
+				continue
+			}
+			key, _ := kv.Key.(*ast.Ident)
+			if hookKey := key != nil && strings.HasSuffix(key.Name, "Hook"); observer || hookKey {
+				out = append(out, hookInstall{lit: lit, boot: hookKey && isBootHookField(info.Uses[key])})
 			}
 		}
 	case *ast.CallExpr:
@@ -123,18 +128,24 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 			return nil
 		}
 		switch fn.Name() {
-		case "SetObserver", "SetProbe", "SetBootHook":
+		case "SetObserver", "SetProbe":
 		default:
 			return nil
 		}
-		boot := fn.Name() == "SetBootHook"
 		for _, arg := range v.Args {
 			if lit, ok := arg.(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit, boot: boot})
+				out = append(out, hookInstall{lit: lit})
 			}
 		}
 	}
 	return out
+}
+
+// isBootHookField reports whether obj is the workload.Env.BootHook field.
+func isBootHookField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField() && v.Name() == "BootHook" &&
+		v.Pkg() != nil && v.Pkg().Path() == ModulePath+"/internal/workload"
 }
 
 // checkHookLit flags impure statements inside one hook literal.

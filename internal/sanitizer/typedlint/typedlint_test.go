@@ -92,6 +92,20 @@ func TestObserverPurityTypedFixtureFires(t *testing.T) {
 	}
 }
 
+// TestObserverPurityBootHookExemption: a hook on workload.Env.BootHook
+// may call mutating methods (k.EnableRace, f.EnableRace attach the race
+// detector), whether it is assigned or set in an Env literal; a write
+// through its parameter still fires, exactly once.
+func TestObserverPurityBootHookExemption(t *testing.T) {
+	res := checkFixture(t, "bad_boothook.go")
+	if got := countBy(res.Findings, "observerpurity"); got != 1 {
+		t.Fatalf("observerpurity findings = %d, want 1 (the w.Fault write): %v", got, res.Findings)
+	}
+	if all := fmt.Sprint(res.Findings); !strings.Contains(all, "write through hook parameter") {
+		t.Fatalf("the finding should be the parameter write: %v", res.Findings)
+	}
+}
+
 // TestRepoIsVetClean is the other half of every fixture pair: the typed
 // analyzers report nothing on the repository itself.
 func TestRepoIsVetClean(t *testing.T) {

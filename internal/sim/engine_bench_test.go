@@ -56,14 +56,14 @@ func BenchmarkEventHeapChurn(b *testing.B) {
 	e.Run()
 }
 
-// benchEngineChurn drives one engine kind with `width` events in flight
+// benchEngineChurn drives an engine with `width` events in flight
 // at all times — the pending-event population of a machine with that many
 // CPUs (each CPU model keeps roughly one timer outstanding). Delays are
 // drawn up to 5000 cycles, the scale of the simulated kernel's IPI and
 // cacheline costs, so the wheel's level-0 fast path and its cascades are
 // both on the measured path.
-func benchEngineChurn(b *testing.B, kind EngineKind, width int) {
-	e := NewEngineKind(kind, 1)
+func benchEngineChurn(b *testing.B, width int) {
+	e := NewEngine(1)
 	r := NewRand(7)
 	n := 0
 	var step func()
@@ -81,17 +81,15 @@ func benchEngineChurn(b *testing.B, kind EngineKind, width int) {
 	e.Run()
 }
 
-// BenchmarkEngineChurn is the scale-out grid bench.sh records: both
-// event-queue implementations at 56-, 256- and 512-CPU event populations.
+// BenchmarkEngineChurn is the scale-out grid bench.sh records: the timer
+// wheel at 56-, 256- and 512-CPU event populations.
 // ns/event must stay flat as the population grows (the wheel's point) and
 // allocs/event must stay zero (the free list's point).
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []EngineKind{EngineWheel, EngineHeap} {
-		for _, width := range []int{56, 256, 512} {
-			b.Run(fmt.Sprintf("%s/cpus=%d", kind, width), func(b *testing.B) {
-				benchEngineChurn(b, kind, width)
-			})
-		}
+	for _, width := range []int{56, 256, 512} {
+		b.Run(fmt.Sprintf("cpus=%d", width), func(b *testing.B) {
+			benchEngineChurn(b, width)
+		})
 	}
 }
 
@@ -106,7 +104,7 @@ func TestEngineChurnScalesFlat(t *testing.T) {
 		t.Skip("benchmarking is slow; run without -short")
 	}
 	measure := func(width int) (nsPerOp float64, allocsPerOp int64) {
-		r := testing.Benchmark(func(b *testing.B) { benchEngineChurn(b, EngineWheel, width) })
+		r := testing.Benchmark(func(b *testing.B) { benchEngineChurn(b, width) })
 		return float64(r.NsPerOp()), r.AllocsPerOp()
 	}
 	var last string

@@ -1,8 +1,12 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
-// Hierarchical timer wheel: the EngineWheel eventQueue.
+// Hierarchical timer wheel: the engine's pending-event queue.
 //
 // The wheel divides the 64-bit virtual clock into eight byte-wide levels
 // of 256 slots each, so the full Time range is representable and there is
@@ -18,7 +22,9 @@ import "math/bits"
 // only when the engine commits to dispatching the minimum event (pop),
 // never by nextTime — RunUntil may stop at a horizon and later accept
 // events between now and the wheel's former tentative minimum, so a
-// cursor that crept forward on peeks would reject legal schedules.
+// cursor that crept forward on peeks would reject legal schedules. A pop
+// of a cancelled event still commits the cursor; a push that later lands
+// below it rewinds the wheel (see rewind).
 //
 // The filing rule yields two invariants that make ordering cheap:
 //
@@ -97,6 +103,9 @@ func (w *timerWheel) levelOf(at Time) int {
 }
 
 func (w *timerWheel) push(ev *Event) {
+	if ev.at < w.cur {
+		w.rewind(ev.at)
+	}
 	l := w.levelOf(ev.at)
 	idx := int(uint8(ev.at >> (uint(l) * wheelBits)))
 	lv := &w.levels[l]
@@ -104,6 +113,27 @@ func (w *timerWheel) push(ev *Event) {
 	lv.setOcc(idx)
 	w.lvMask |= 1 << uint(l)
 	w.count++
+}
+
+// rewind lowers the cursor to at and refiles every pending event against
+// it. The cursor can run ahead of the engine clock: pop commits it to
+// every event it hands out, including cancelled ones the engine skips
+// without advancing the clock. When a Run or RunUntil ends on such an
+// event, the next push may land below the cursor, where the filing rule
+// no longer orders it. Refiling in seq order keeps every slot
+// sequence-sorted. The path is rare, so its cost does not matter.
+func (w *timerWheel) rewind(at Time) {
+	pending := append([]*Event(nil), w.batch[w.batchHead:]...)
+	for l := range w.levels {
+		for _, slot := range w.levels[l].slots {
+			pending = append(pending, slot...)
+		}
+	}
+	slices.SortFunc(pending, func(a, b *Event) int { return cmp.Compare(a.seq, b.seq) })
+	*w = timerWheel{cur: at}
+	for _, ev := range pending {
+		w.push(ev)
+	}
 }
 
 func (w *timerWheel) len() int { return w.count }

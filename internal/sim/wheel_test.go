@@ -1,82 +1,13 @@
 package sim
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// TestWheelHeapOrderEquivalence drives the two eventQueue implementations
-// with identical random schedules — including same-timestamp bursts,
-// cancellations and inserts from inside callbacks — and requires the
-// exact same firing order.
-func TestWheelHeapOrderEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		runKind := func(kind EngineKind) []int {
-			rng := rand.New(rand.NewSource(seed))
-			e := NewEngineKind(kind, 1)
-			var order []int
-			id := 0
-			var evs []*Event
-			var schedule func(depth int) func()
-			schedule = func(depth int) func() {
-				me := id
-				id++
-				return func() {
-					order = append(order, me)
-					// From inside a callback, sometimes schedule more
-					// work at the current instant or nearby.
-					if depth < 2 && rng.Intn(3) == 0 {
-						for i := 0; i < rng.Intn(3); i++ {
-							evs = append(evs, e.After(uint64(rng.Intn(4)), schedule(depth+1)))
-						}
-					}
-				}
-			}
-			for i := 0; i < 300; i++ {
-				// Mix of short, clustered and far-future delays so all
-				// wheel levels and cascades are exercised.
-				var d uint64
-				switch rng.Intn(4) {
-				case 0:
-					d = uint64(rng.Intn(3)) // same/near timestamp bursts
-				case 1:
-					d = uint64(rng.Intn(200))
-				case 2:
-					d = uint64(rng.Intn(100_000))
-				default:
-					d = uint64(rng.Intn(50_000_000))
-				}
-				evs = append(evs, e.After(d, schedule(0)))
-				if rng.Intn(10) == 0 && len(evs) > 0 {
-					evs[rng.Intn(len(evs))].Cancel()
-				}
-				if rng.Intn(20) == 0 {
-					e.Run()
-				}
-			}
-			e.Run()
-			return order
-		}
-		heapOrder := runKind(EngineHeap)
-		wheelOrder := runKind(EngineWheel)
-		if len(heapOrder) != len(wheelOrder) {
-			t.Fatalf("seed %d: fired %d events under heap, %d under wheel", seed, len(heapOrder), len(wheelOrder))
-		}
-		for i := range heapOrder {
-			if heapOrder[i] != wheelOrder[i] {
-				t.Fatalf("seed %d: firing order diverges at %d: heap %d, wheel %d",
-					seed, i, heapOrder[i], wheelOrder[i])
-			}
-		}
-	}
-}
+import "testing"
 
 // TestWheelHorizonThenEarlierInsert is the cursor-advance regression: a
 // RunUntil that stops at a horizon must not let the wheel's cursor creep
 // up to the (later) pending minimum, because the caller may then legally
 // schedule between the horizon and that minimum.
 func TestWheelHorizonThenEarlierInsert(t *testing.T) {
-	e := NewEngineKind(EngineWheel, 1)
+	e := NewEngine(1)
 	var order []string
 	e.At(10, func() { order = append(order, "t10") })
 	e.At(1_000_000, func() { order = append(order, "far") })
@@ -105,7 +36,7 @@ func TestWheelHorizonThenEarlierInsert(t *testing.T) {
 // one timestamp fire in scheduling order, including ones added to the
 // batch's timestamp from inside a callback of that same batch.
 func TestWheelSameTimestampSeqOrder(t *testing.T) {
-	e := NewEngineKind(EngineWheel, 1)
+	e := NewEngine(1)
 	var order []int
 	for i := 0; i < 50; i++ {
 		i := i
@@ -138,7 +69,7 @@ func TestWheelSameTimestampSeqOrder(t *testing.T) {
 // TestWheelShutdownDrains checks the poison-unwind drain path under the
 // wheel: parked processes are unwound and the queue retains nothing.
 func TestWheelShutdownDrains(t *testing.T) {
-	e := NewEngineKind(EngineWheel, 1)
+	e := NewEngine(1)
 	e.Go("sleeper", func(p *Proc) {
 		p.Delay(1 << 40) // far future, never reached
 	})
@@ -160,27 +91,32 @@ func TestWheelShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestParseEngineKind covers the flag parser.
-func TestParseEngineKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EngineKind
-		ok   bool
-	}{
-		{"heap", EngineHeap, true},
-		{"wheel", EngineWheel, true},
-		{"", EngineWheel, true},
-		{"calendar", "", false},
-	} {
-		got, err := ParseEngineKind(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("ParseEngineKind(%q) = %q, %v", tc.in, got, err)
+// TestWheelPushAfterCancelledTail is the cursor-rewind regression: popping
+// a cancelled event moves the wheel's cursor to its timestamp, but the
+// engine skips it without advancing the clock. When that event was the
+// last one a Run dispatched, the next At may legally land between the
+// clock and the cursor, and must still fire in (time, seq) order.
+func TestWheelPushAfterCancelledTail(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	e.At(0xff00, func() { order = append(order, "first") })
+	e.At(0x1_0005, func() {}).Cancel()
+	e.Run() // fires "first", pops the cancelled tail; the clock rests at 0xff00
+	if e.Now() != 0xff00 {
+		t.Fatalf("Now = %#x, want 0xff00", e.Now())
+	}
+	// Between the clock and the cancelled tail, across a byte boundary of
+	// the cursor, plus one event after the tail.
+	e.At(0x1_0006, func() { order = append(order, "after-tail") })
+	e.At(0xfff0, func() { order = append(order, "before-tail") })
+	e.Run()
+	want := []string{"first", "before-tail", "after-tail"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-	if NewEngine(1).Kind() != EngineWheel {
-		t.Fatal("NewEngine default is not the wheel")
-	}
-	if NewEngineKind(EngineHeap, 1).Kind() != EngineHeap {
-		t.Fatal("NewEngineKind(heap) lost its kind")
 	}
 }

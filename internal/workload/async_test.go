@@ -68,7 +68,7 @@ func runAsyncStaleTouch(w *World) {
 func TestBrokenAckBeforeDrainCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
 	cfg.BrokenAckBeforeDrain = true
-	w := NewWorld(Safe, cfg, 7)
+	w := NewWorld(Env{}, Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	runAsyncStaleTouch(w)
@@ -88,7 +88,7 @@ func TestBrokenAckBeforeDrainCaughtExactlyOnce(t *testing.T) {
 // program on the real fabric must drain at IRQ entry before acking, so
 // the oracle sees a fully coherent protocol.
 func TestAsyncTierStaleTouchClean(t *testing.T) {
-	w := NewWorld(Safe, asyncAll(), 7)
+	w := NewWorld(Env{}, Safe, asyncAll(), 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	runAsyncStaleTouch(w)
@@ -111,7 +111,7 @@ func TestAsyncTierStaleTouchClean(t *testing.T) {
 func TestAsyncTierPreservesState(t *testing.T) {
 	for _, s := range Scenarios() {
 		run := func(cfg core.Config) string {
-			w := NewWorld(Safe, cfg, 11)
+			w := NewWorld(Env{}, Safe, cfg, 11)
 			defer w.Close()
 			return StateDigest(s.Run(w))
 		}
@@ -192,7 +192,7 @@ func runAsyncCoalesceTouch(w *World) {
 func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
 	cfg.BrokenCoalesceShrink = true
-	w := NewFaultWorld(Safe, cfg, 7, coalesceFaults)
+	w := NewWorld(Env{Faults: coalesceFaults}, Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	runAsyncCoalesceTouch(w)
@@ -212,7 +212,7 @@ func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 // program under the sound merge must flush the full merged span, so
 // the oracle sees a coherent protocol.
 func TestAsyncCoalesceTouchClean(t *testing.T) {
-	w := NewFaultWorld(Safe, asyncAll(), 7, coalesceFaults)
+	w := NewWorld(Env{Faults: coalesceFaults}, Safe, asyncAll(), 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	runAsyncCoalesceTouch(w)

@@ -19,6 +19,7 @@ import (
 // down, to compare Linux's concurrent shootdowns against a global
 // shootdown mutex.
 type ContentionConfig struct {
+	Env        Env
 	Mode       Mode
 	Core       core.Config
 	Initiators int
@@ -35,7 +36,7 @@ func RunContention(cfg ContentionConfig) uint64 {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 15
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := NewWorld(cfg.Env, cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	stop := false
@@ -90,8 +91,8 @@ type LazyProbeResult struct {
 
 // RunLazyProbe measures initiator latency and probes the §2.3.2 stale
 // window under the given config (compare LazyRemote on/off).
-func RunLazyProbe(mode Mode, cfg core.Config, seed uint64) LazyProbeResult {
-	w := NewWorld(mode, cfg, seed)
+func RunLazyProbe(env Env, mode Mode, cfg core.Config, seed uint64) LazyProbeResult {
+	w := NewWorld(env, mode, cfg, seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	var out LazyProbeResult
@@ -153,7 +154,7 @@ type HWMessageProbeResult struct {
 // RunHWMessageProbe measures one shootdown's initiator latency and total
 // cacheline transfers with/without the hardware extension.
 func RunHWMessageProbe(hw bool, seed uint64) HWMessageProbeResult {
-	eng := newWorldEngine(seed)
+	eng := sim.NewEngine(seed)
 	defer eng.Shutdown()
 	kcfg := kernel.DefaultConfig()
 	kcfg.HWMessageIPI = hw
@@ -206,7 +207,7 @@ type ParavirtProbeResult struct {
 // RunParavirtProbe runs a nested-paging guest madvise with fractured
 // translations cached.
 func RunParavirtProbe(hint bool, pages int, seed uint64) ParavirtProbeResult {
-	eng := newWorldEngine(seed)
+	eng := sim.NewEngine(seed)
 	defer eng.Shutdown()
 	kcfg := kernel.DefaultConfig()
 	kcfg.NestedPaging = true
@@ -259,7 +260,7 @@ type PCIDProbeResult struct {
 // working set per slice (§2.1: PCIDs let the TLB cache multiple address
 // spaces, so a process's entries survive its neighbour's time slice).
 func RunPCIDProbe(disablePCID bool, slices, pages int, seed uint64) PCIDProbeResult {
-	eng := newWorldEngine(seed)
+	eng := sim.NewEngine(seed)
 	defer eng.Shutdown()
 	kcfg := kernel.DefaultConfig()
 	kcfg.DisablePCID = disablePCID

@@ -7,50 +7,33 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
-	"shootdown/internal/sim"
 )
 
 // TestWorkloadsLeakNoProcs is the goroutine-leak contract: every workload
 // closes its worlds after the last stats read, so no simulated process —
-// in particular no idle kernel CPU loop — stays parked on a goroutine
-// once the workload returns. The boot hook captures every world each
-// workload boots; afterwards each must report zero live processes.
+// in particular no idle kernel CPU loop — stays parked once the workload
+// returns. The boot hook captures every world each workload boots;
+// afterwards each must report zero live processes.
 //
 // The contract must also hold under fault schedules: injected drops and
 // stalls park initiators in the retry loop mid-run, and Shutdown has to
 // unwind those too. The whole suite therefore repeats under a light
 // schedule and under the drop-heavy one that exercises the recovery path
-// hardest — and, for the unfaulted pass, under both event-scheduler
-// implementations, pinning the Shutdown drain on the timer wheel's
-// cascades as well as the reference heap.
+// hardest.
 func TestWorkloadsLeakNoProcs(t *testing.T) {
-	for _, variant := range []struct {
-		specName string
-		engine   sim.EngineKind
-	}{
-		{"none", sim.EngineWheel},
-		{"none", sim.EngineHeap},
-		{"light", sim.EngineWheel},
-		{"drop", sim.EngineWheel},
-	} {
-		spec, ok := fault.Preset(variant.specName)
+	for _, specName := range []string{"none", "light", "drop"} {
+		spec, ok := fault.Preset(specName)
 		if !ok {
-			t.Fatalf("unknown fault preset %q", variant.specName)
+			t.Fatalf("unknown fault preset %q", specName)
 		}
-		t.Run(fmt.Sprintf("faults=%s/engine=%s", variant.specName, variant.engine), func(t *testing.T) {
-			restoreSpec := SetFaultSpec(spec)
-			defer restoreSpec()
-			restoreKind := SetEngineKind(variant.engine)
-			defer restoreKind()
-
+		t.Run(fmt.Sprintf("faults=%s/engine=wheel", specName), func(t *testing.T) {
 			var mu sync.Mutex
 			var worlds []*World
-			restore := SetBootHook(func(w *World) {
+			env := Env{Faults: spec, BootHook: func(w *World) {
 				mu.Lock()
 				worlds = append(worlds, w)
 				mu.Unlock()
-			})
-			defer restore()
+			}}
 
 			check := func(name string, fn func()) {
 				t.Run(name, func(t *testing.T) {
@@ -75,39 +58,39 @@ func TestWorkloadsLeakNoProcs(t *testing.T) {
 			}
 
 			check("micro", func() {
-				RunMicro(MicroConfig{Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Runs: 2, Seed: 1})
+				RunMicro(MicroConfig{Env: env, Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Runs: 2, Seed: 1})
 			})
 			check("cow", func() {
-				RunCoW(CoWConfig{Mode: Safe, Pages: 8, Runs: 2, Seed: 1})
+				RunCoW(CoWConfig{Env: env, Mode: Safe, Pages: 8, Runs: 2, Seed: 1})
 			})
 			check("sysbench", func() {
-				RunSysbench(SysbenchConfig{Mode: Safe, Threads: 2, HotPages: 64, WritesPerSync: 4, Syncs: 2, ComputePerWrite: 1000, Seed: 1})
+				RunSysbench(SysbenchConfig{Env: env, Mode: Safe, Threads: 2, HotPages: 64, WritesPerSync: 4, Syncs: 2, ComputePerWrite: 1000, Seed: 1})
 			})
 			check("apache", func() {
-				RunApache(ApacheConfig{Mode: Safe, Cores: 2, RequestsPerCore: 4, FilePages: 2, ParseCycles: 5000, SendCycles: 5000, Seed: 1})
+				RunApache(ApacheConfig{Env: env, Mode: Safe, Cores: 2, RequestsPerCore: 4, FilePages: 2, ParseCycles: 5000, SendCycles: 5000, Seed: 1})
 			})
 			check("ackprobe", func() {
-				RunAckProbe(AckProbeConfig{Mode: Safe, Iterations: 4, Seed: 1})
+				RunAckProbe(AckProbeConfig{Env: env, Mode: Safe, Iterations: 4, Seed: 1})
 			})
 			check("microstats", func() {
-				RunMicroWithStats(MicroConfig{Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Seed: 1})
+				RunMicroWithStats(MicroConfig{Env: env, Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Seed: 1})
 			})
 			check("contention", func() {
-				RunContention(ContentionConfig{Mode: Safe, Initiators: 2, Iterations: 4, Seed: 1})
+				RunContention(ContentionConfig{Env: env, Mode: Safe, Initiators: 2, Iterations: 4, Seed: 1})
 			})
 			check("lazyprobe", func() {
-				RunLazyProbe(Safe, core.Config{}, 1)
+				RunLazyProbe(env, Safe, core.Config{}, 1)
 			})
 			check("daemonstorm", func() {
-				RunDaemonStorm(DaemonStormConfig{Mode: Safe, AppThreads: 2, Rounds: 10, Seed: 1})
+				RunDaemonStorm(DaemonStormConfig{Env: env, Mode: Safe, AppThreads: 2, Rounds: 10, Seed: 1})
 			})
 			check("server", func() {
-				RunServer(ServerConfig{Mode: Safe, TasksPerCPU: 1, Connections: 1 << 10,
+				RunServer(ServerConfig{Env: env, Mode: Safe, TasksPerCPU: 1, Connections: 1 << 10,
 					EventsPerTask: 4, RecycleEvery: 2, RemapEvery: 3, Recyclers: 2, Seed: 1})
 			})
 			check("scenarios", func() {
 				for _, s := range Scenarios() {
-					RunScenario(s, Safe, 1, spec)
+					RunScenario(s, Safe, 1, env)
 				}
 			})
 		})

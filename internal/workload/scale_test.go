@@ -7,16 +7,15 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/sched"
-	"shootdown/internal/sim"
 )
 
 // TestScenariosMetamorphicWide extends the metamorphic contract to the
 // scale-out machines: on 256- and 512-CPU topologies, faults may change
 // when everything happens, never what the memory ends up being. Every
 // scenario's final-state digest under the light and heavy schedules must
-// match the fault-free run at the same width. Cells carry their topology
-// explicitly (RunScenarioTopo), so the whole sweep fans out under the
-// parallel scheduler without touching the package-wide override.
+// match the fault-free run at the same width. Each cell carries its
+// topology in its own Env, so the whole sweep fans out under the parallel
+// scheduler.
 func TestScenariosMetamorphicWide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide-topology sweep is slow; run without -short")
@@ -45,14 +44,14 @@ func TestScenariosMetamorphicWide(t *testing.T) {
 			v.errs = append(v.errs, err.Error())
 			return v
 		}
-		base := RunScenarioTopo(c.s, Safe, 1, fault.Spec{}, topo)
+		base := RunScenario(c.s, Safe, 1, Env{Topo: topo})
 		for _, name := range specs {
 			spec, ok := fault.Preset(name)
 			if !ok {
 				v.errs = append(v.errs, fmt.Sprintf("unknown preset %q", name))
 				continue
 			}
-			if d := RunScenarioTopo(c.s, Safe, 1, spec, topo); d != base {
+			if d := RunScenario(c.s, Safe, 1, Env{Faults: spec, Topo: topo}); d != base {
 				v.errs = append(v.errs, fmt.Sprintf("digest under %s faults = %s, fault-free = %s", name, d, base))
 			}
 		}
@@ -65,11 +64,11 @@ func TestScenariosMetamorphicWide(t *testing.T) {
 	}
 }
 
-// TestServerDeterministicAcrossEngines pins the scale workload itself:
-// the same server configuration must produce identical results under the
-// timer wheel and the reference heap, at every width, and the cluster-ack
-// aggregation must engage exactly on the machines wider than 128 CPUs.
-func TestServerDeterministicAcrossEngines(t *testing.T) {
+// TestServerScalesAcrossWidths pins the scale workload itself: at every
+// width the server serves exactly its configured events, generates
+// shootdown traffic, and engages the cluster-ack aggregation exactly on
+// the machines wider than 128 CPUs.
+func TestServerScalesAcrossWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-CPU cells are slow; run without -short")
 	}
@@ -82,25 +81,16 @@ func TestServerDeterministicAcrossEngines(t *testing.T) {
 			Mode: Safe, Topo: topo, TasksPerCPU: 1, Connections: 1 << 12,
 			EventsPerTask: 6, RecycleEvery: 3, RemapEvery: 5, Recyclers: 8, Seed: 7,
 		}
-		runKind := func(kind string) ServerResult {
-			restore := SetEngineKind(sim.EngineKind(kind))
-			defer restore()
-			return RunServer(cfg)
+		r := RunServer(cfg)
+		if r.Events != width*cfg.EventsPerTask {
+			t.Errorf("width %d: served %d events, want %d", width, r.Events, width*cfg.EventsPerTask)
 		}
-		wheel := runKind("wheel")
-		heap := runKind("heap")
-		if wheel != heap {
-			t.Errorf("width %d: wheel %+v != heap %+v", width, wheel, heap)
+		if r.Shootdowns == 0 || r.ICRWrites == 0 {
+			t.Errorf("width %d: no shootdown traffic: %+v", width, r)
 		}
-		if wheel.Events != width*cfg.EventsPerTask {
-			t.Errorf("width %d: served %d events, want %d", width, wheel.Events, width*cfg.EventsPerTask)
-		}
-		if wheel.Shootdowns == 0 || wheel.ICRWrites == 0 {
-			t.Errorf("width %d: no shootdown traffic: %+v", width, wheel)
-		}
-		if engaged := wheel.ClusterAckStores > 0; engaged != (width > 128) {
+		if engaged := r.ClusterAckStores > 0; engaged != (width > 128) {
 			t.Errorf("width %d: cluster ack aggregation engaged=%v, want %v (%+v)",
-				width, engaged, width > 128, wheel)
+				width, engaged, width > 128, r)
 		}
 	}
 }

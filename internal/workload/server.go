@@ -19,10 +19,11 @@ import (
 // traffic (buffer recycling via MADV_DONTNEED and mapping churn via
 // munmap), not task-switch overhead.
 type ServerConfig struct {
+	Env  Env
 	Mode Mode
 	Core core.Config
-	// Topo is the machine; the zero value uses the package-wide
-	// topology (default: the paper's 56-CPU testbed).
+	// Topo, when set, overrides Env.Topo: the scale sweep and the
+	// benchmark pin each cell's machine width here.
 	Topo mach.Topology
 	// TasksPerCPU workers are spawned on every logical CPU.
 	TasksPerCPU int
@@ -120,14 +121,14 @@ func RunServer(cfg ServerConfig) ServerResult {
 	if cfg.ProcessCycles == 0 {
 		cfg.ProcessCycles = 3000
 	}
-	topo := cfg.Topo
-	if topo == (mach.Topology{}) {
-		topo = effectiveTopology()
+	env := cfg.Env
+	if cfg.Topo != (mach.Topology{}) {
+		env.Topo = cfg.Topo
 	}
-	w := NewTopoWorld(cfg.Mode, cfg.Core, cfg.Seed, worldFaults, topo)
+	w := NewWorld(env, cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 
-	numCPUs := topo.NumCPUs()
+	numCPUs := w.K.Topo.NumCPUs()
 	tasks := numCPUs * cfg.TasksPerCPU
 	if cfg.Connections < tasks {
 		cfg.Connections = tasks

@@ -109,7 +109,7 @@ func TestSysbenchBatchingSkipsIPIs(t *testing.T) {
 	cfg := DefaultSysbenchConfig()
 	cfg.Threads, cfg.Syncs, cfg.WritesPerSync = 6, 3, 24
 	cfg.Core = core.All()
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := NewWorld(cfg.Env, cfg.Mode, cfg.Core, cfg.Seed)
 	// Re-run through the exported entry point; stats live in a fresh
 	// world, so run directly and inspect via a second run's flusher.
 	_ = w

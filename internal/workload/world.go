@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
 	"shootdown/internal/core"
@@ -43,65 +44,64 @@ func (m Mode) String() string {
 	return "unsafe"
 }
 
-// bootHook, when non-nil, observes every World right after boot, before
-// any task is spawned. tlbcheck uses it to attach the coherence sanitizer
-// to every machine an experiment creates. Hooks must be observational:
-// they may install observers but not advance simulated time.
-//
-// Writes go through SetBootHook's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var bootHook func(*World)
-
-// SetBootHook installs fn as the world boot hook and returns a restore
-// function reinstating the previous hook.
-func SetBootHook(fn func(*World)) (restore func()) {
-	prev := bootHook
-	bootHook = fn
-	return func() { bootHook = prev }
+// Env is the machine a world boots: everything about a simulated run that
+// is not the workload itself. Every Run* config carries one, and
+// experiments.Options threads one through every cell, so cells with
+// different environments run side by side under the parallel scheduler.
+// The zero Env is the paper's setup: no faults, each config's own dispatch
+// tier, the 56-CPU testbed, and no boot hook.
+type Env struct {
+	// Faults is the fault schedule; the plane is keyed by the world's
+	// seed, so (seed, Faults) fully determines the machine's behaviour.
+	Faults fault.Spec
+	// TLBMode overrides the shootdown dispatch tier: "" leaves configs as
+	// built, "sync" clears the async fabric knobs, "async" sets
+	// AsyncShootdown — except on configs carrying SerializedIPIs or
+	// LazyRemote, which model competing dispatch disciplines and keep
+	// their own tier.
+	TLBMode string
+	// Topo is the machine layout; the zero Topology means
+	// mach.DefaultTopology().
+	Topo mach.Topology
+	// BootHook, when non-nil, observes every world right after boot,
+	// before any task is spawned. tlbcheck uses it to attach the coherence
+	// sanitizer or the race detector. Hooks must be observational: they
+	// may install observers but not advance simulated time. Worlds boot
+	// concurrently, so a hook that collects them must lock.
+	BootHook func(*World)
 }
 
-// worldFaults is the fault schedule applied to every world booted through
-// NewWorld (the zero Spec injects nothing). It parameterizes whole suites
-// — experiments, tlbcheck, tlbfuzz — without threading a spec through
-// every cell constructor.
-//
-// Writes go through SetFaultSpec's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldFaults fault.Spec
-
-// SetFaultSpec installs spec as the schedule for every subsequently booted
-// world and returns a restore function reinstating the previous one.
-func SetFaultSpec(spec fault.Spec) (restore func()) {
-	prev := worldFaults
-	worldFaults = spec
-	return func() { worldFaults = prev }
+// ParseEnv builds an Env from the -faults, -tlbmode and -topo flag
+// spellings shared by the command-line tools. An empty string selects the
+// zero value of that part.
+func ParseEnv(faults, tlbmode, topo string) (Env, error) {
+	spec, err := fault.Parse(faults)
+	if err != nil {
+		return Env{}, err
+	}
+	switch tlbmode {
+	case "", "sync", "async":
+	default:
+		return Env{}, errors.New("-tlbmode must be sync or async")
+	}
+	env := Env{Faults: spec, TLBMode: tlbmode}
+	if topo != "" {
+		if env.Topo, err = mach.ParseTopology(topo); err != nil {
+			return Env{}, err
+		}
+	}
+	return env, nil
 }
 
-// worldTLBMode overrides the shootdown dispatch tier of every world booted
-// through NewWorld/NewFaultWorld: "" leaves configs as built, "sync"
-// clears the async fabric knobs, "async" sets AsyncShootdown — except on
-// configs carrying SerializedIPIs or LazyRemote, which model competing
-// dispatch disciplines and keep their own tier. The -tlbmode flag of
-// tlbsim, tlbcheck and tlbfuzz lands here.
-//
-// Writes go through SetTLBMode's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldTLBMode string
-
-// SetTLBMode installs the package-wide dispatch-tier override ("", "sync"
-// or "async") and returns a restore function reinstating the previous one.
-func SetTLBMode(mode string) (restore func()) {
-	prev := worldTLBMode
-	worldTLBMode = mode
-	return func() { worldTLBMode = prev }
-}
-
-// applyTLBMode rewrites cfg per the package-wide override.
-func applyTLBMode(cfg core.Config) core.Config {
-	switch worldTLBMode {
+// applyTLBMode rewrites cfg per the dispatch-tier override. The sync
+// rewrite also clears the broken fabric variants, which are only defined
+// on the async tier.
+func applyTLBMode(mode string, cfg core.Config) core.Config {
+	switch mode {
 	case "sync":
 		cfg.AsyncShootdown = false
 		cfg.BrokenAckBeforeDrain = false
+		cfg.BrokenCoalesceShrink = false
 	case "async":
 		if !cfg.SerializedIPIs && !cfg.LazyRemote {
 			cfg.AsyncShootdown = true
@@ -110,85 +110,21 @@ func applyTLBMode(cfg core.Config) core.Config {
 	return cfg
 }
 
-// worldTopology overrides the machine layout of every world booted
-// through NewWorld/NewFaultWorld; the zero Topology means
-// mach.DefaultTopology(). The -topo flag of tlbsim lands here, and the
-// scale experiment uses it to sweep 56/256/512-CPU machines through the
-// unchanged workload constructors.
-//
-// Writes go through SetTopology's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldTopology mach.Topology
-
-// SetTopology installs the package-wide machine layout for every
-// subsequently booted world and returns a restore function reinstating
-// the previous one. The zero Topology restores the default machine.
-func SetTopology(topo mach.Topology) (restore func()) {
-	prev := worldTopology
-	worldTopology = topo
-	return func() { worldTopology = prev }
-}
-
-// effectiveTopology resolves the package-wide override.
-func effectiveTopology() mach.Topology {
-	if worldTopology == (mach.Topology{}) {
-		return mach.DefaultTopology()
-	}
-	return worldTopology
-}
-
-// worldEngineKind overrides the event-scheduler implementation of every
-// world booted through NewWorld/NewFaultWorld: "" means the sim package
-// default (the timer wheel); "heap" selects the reference binary heap.
-// Both kinds realize the identical event order, so this knob exists for
-// the heap-vs-wheel equivalence sweeps and benchmarks, not for outputs.
-//
-// Writes go through SetEngineKind's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldEngineKind sim.EngineKind
-
-// SetEngineKind installs the package-wide event-scheduler selection and
-// returns a restore function reinstating the previous one.
-func SetEngineKind(kind sim.EngineKind) (restore func()) {
-	prev := worldEngineKind
-	worldEngineKind = kind
-	return func() { worldEngineKind = prev }
-}
-
-// newWorldEngine boots an engine honouring the package-wide kind.
-func newWorldEngine(seed uint64) *sim.Engine {
-	if worldEngineKind == "" {
-		return sim.NewEngine(seed)
-	}
-	return sim.NewEngineKind(worldEngineKind, seed)
-}
-
 // Close shuts the world's engine down, unwinding every parked process
 // (idle CPU loops, the flusher) so their goroutines exit. Call it after
 // the last read of simulation state; the world is unusable afterwards.
 func (w *World) Close() { w.Eng.Shutdown() }
 
-// NewWorld boots a machine with the given safety mode and protocol config,
-// under the package-wide fault schedule (none by default).
-func NewWorld(mode Mode, cfg core.Config, seed uint64) *World {
-	return NewFaultWorld(mode, cfg, seed, worldFaults)
-}
-
-// NewFaultWorld boots a machine with an explicit fault schedule, bypassing
-// the package-wide spec (so cells with different schedules can run
-// concurrently). The plane is keyed by the same seed as the engine:
-// (seed, spec) fully determines the machine's behaviour.
-func NewFaultWorld(mode Mode, cfg core.Config, seed uint64, spec fault.Spec) *World {
-	return NewTopoWorld(mode, cfg, seed, spec, effectiveTopology())
-}
-
-// NewTopoWorld boots a machine with an explicit topology, bypassing the
-// package-wide override (so cells with different machine widths can run
-// concurrently under the parallel scheduler, which the global setters'
-// pool-idle precondition forbids).
-func NewTopoWorld(mode Mode, cfg core.Config, seed uint64, spec fault.Spec, topo mach.Topology) *World {
-	cfg = applyTLBMode(cfg)
-	eng := newWorldEngine(seed)
+// NewWorld boots a machine with the given safety mode and protocol config
+// in env. It is the only world constructor: a workload that needs a
+// different machine changes its Env, not a process-wide setting.
+func NewWorld(env Env, mode Mode, cfg core.Config, seed uint64) *World {
+	cfg = applyTLBMode(env.TLBMode, cfg)
+	topo := env.Topo
+	if topo == (mach.Topology{}) {
+		topo = mach.DefaultTopology()
+	}
+	eng := sim.NewEngine(seed)
 	kcfg := kernel.DefaultConfig()
 	kcfg.PTI = bool(mode)
 	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
@@ -199,13 +135,13 @@ func NewTopoWorld(mode Mode, cfg core.Config, seed uint64, spec fault.Spec, topo
 	}
 	k.SetFlusher(f)
 	w := &World{Eng: eng, K: k, F: f}
-	if !spec.Zero() || spec.NoRetry {
-		w.Fault = fault.New(seed, spec)
+	if !env.Faults.Zero() || env.Faults.NoRetry {
+		w.Fault = fault.New(seed, env.Faults)
 		k.SetFaultPlane(w.Fault)
 	}
 	k.Start()
-	if bootHook != nil {
-		bootHook(w)
+	if env.BootHook != nil {
+		env.BootHook(w)
 	}
 	return w
 }

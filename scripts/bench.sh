@@ -88,15 +88,15 @@ delay_allocs=$(echo "$delay_line" | awk '{print $7}')
 pingpong_ns=$(echo "$pingpong_line" | awk '{print $3}')
 pingpong_allocs=$(echo "$pingpong_line" | awk '{print $7}')
 
-# Scale grid: "BenchmarkEngineChurn/wheel/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
-# -> one row per (engine, cpus) cell; ns/event must stay flat with width
+# Scale grid: "BenchmarkEngineChurn/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
+# -> one row per cpus cell, tagged with the engine's one event queue (the
+# timer wheel) so the rows keep their shape; ns/event must stay flat with width
 # and allocs/event must stay 0 (the tier-2 test TestEngineChurnScalesFlat
 # enforces both; this just records the numbers).
 churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     split($1, parts, "/")
-    engine = parts[2]
-    cpus = parts[3]; sub(/^cpus=/, "", cpus); sub(/-[0-9]+$/, "", cpus)
-    printf "%s{\"engine\":\"%s\",\"cpus\":%s,\"ns_per_event\":%s,\"allocs_per_event\":%s}", sep, engine, cpus, $3, $7
+    cpus = parts[2]; sub(/^cpus=/, "", cpus); sub(/-[0-9]+$/, "", cpus)
+    printf "%s{\"engine\":\"wheel\",\"cpus\":%s,\"ns_per_event\":%s,\"allocs_per_event\":%s}", sep, cpus, $3, $7
     sep = ","
 }')
 

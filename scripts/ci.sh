@@ -70,9 +70,9 @@ go run ./cmd/tlbcheck -lint ./...
 
 # The whole static tier — typedlint plus the ssa analyzers (flush
 # obligations, lock order, the ipistate shootdown DFA, the detflow
-# nondeterminism-taint proof, the parallelsafe restore-discipline proof,
-# the mhp may-happen-in-parallel contexts and the lockset race-discipline
-# proofs, and the fabproof numeric obligations over the async fabric) —
+# nondeterminism-taint proof, the mhp may-happen-in-parallel contexts and
+# the lockset race-discipline proofs, and the fabproof numeric
+# obligations over the async fabric) —
 # runs before the long sanitize/race-model suites: a finding
 # should fail the gate in seconds, not after the simulations. The
 # machine-readable report lands in VET_findings.json as a CI artifact,
