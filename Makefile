@@ -16,14 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-## lint: toolchain gates first (gofmt, go vet), then the custom tiers
-## (syntactic tlbcheck -lint, typed+ssa tlbvet) — a stock-tool finding
+## lint: toolchain gates first (gofmt, go vet), then tlbvet, the one
+## static-analysis entry point (typed + ssa tiers) — a stock-tool finding
 ## should fail before any whole-program analysis spins up
 lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/tlbcheck -lint ./...
 	$(GO) run ./cmd/tlbvet
 
 ## vet: both type-checked analysis tiers (typedlint + the ssa IR analyzers:

@@ -38,7 +38,6 @@ import (
 	"shootdown/internal/pagetable"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
-	"shootdown/internal/sanitizer/typedlint"
 	"shootdown/internal/sched"
 	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
@@ -121,30 +120,10 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		printSuppressionAudit()
 		fmt.Fprintf(os.Stderr, "tlbfuzz: %d/%d runs violated coherence\n", failures, len(seeds))
 		os.Exit(1)
 	}
 	fmt.Printf("tlbfuzz: %d runs, coherence held in all\n", len(seeds))
-}
-
-// printSuppressionAudit cross-references failures with the static tier:
-// the typed analyzers (internal/sanitizer/typedlint) may hold findings
-// that were deliberately silenced with "obligation-transferred:" markers.
-// A coherence violation whose path runs through one of those sites means
-// the marker's justification is wrong — the analyzer saw the missing
-// flush and was told to stand down. Best-effort: when the module source
-// is not reachable from the working directory the audit is skipped (the
-// fuzz failure itself is the headline).
-func printSuppressionAudit() {
-	res, err := typedlint.Check()
-	if err != nil || len(res.Suppressions) == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "note: the static tier holds %d suppressed finding(s); if a violating seed's path runs through one, its marker is wrong:\n", len(res.Suppressions))
-	for _, s := range res.Suppressions {
-		fmt.Fprintf(os.Stderr, "  %s:%d: %s suppressed: %s\n", s.File, s.Line, s.Analyzer, s.Reason)
-	}
 }
 
 func randomConfig(r *sim.Rand, tlbmode string) core.Config {

@@ -1,8 +1,9 @@
-// Command tlbvet runs the static-analysis tiers over the module: the
-// typed tier (internal/sanitizer/typedlint — whole-module typechecking on
-// stdlib go/types only) and the ssa tier (internal/sanitizer/ssa — a
-// def-use/SSA IR with interprocedural summaries over a fixpoint call
-// graph). Between them:
+// Command tlbvet is the repository's one static-analysis entry point. It
+// runs both tiers over the module: the typed tier
+// (internal/sanitizer/typedlint — whole-module typechecking on stdlib
+// go/types only) and the ssa tier (internal/sanitizer/ssa — a def-use/SSA
+// IR with interprocedural summaries over a fixpoint call graph). Each
+// static property is checked by exactly one analyzer:
 //
 //   - flushobligation: every restrictive page-table mutation's returned
 //     mm.FlushRange must reach a shootdown discharge on every path, be
@@ -35,12 +36,15 @@
 //     stats or event timestamps
 //   - stalemarker: suppression markers nothing consumed are findings
 //     ("obligation-transferred:" and "lock-free-by-design:" alike)
-//   - costliteral: constant cycle costs (including named constants and
+//   - costliteral: constant cycle costs (literals, named constants and
 //     thin Delay wrappers) outside the cost model
 //   - determinism: banned imports (time, math/rand) by path, catching
 //     aliased/dot/blank forms
-//   - observerpurity: hooks mutating observed state, including through
-//     mutating method calls and local aliases
+//   - observerpurity: hooks writing observed state or package-level
+//     variables, including through mutating method calls and local
+//     aliases
+//   - parallelsafety: mutable package-level variables in simulated
+//     packages (error sentinels excepted)
 //
 // Output is sorted by file, line and analyzer, so it is byte-identical
 // regardless of scheduling (-parallel only changes wall clock, never
@@ -67,7 +71,6 @@ import (
 	"sort"
 	"strings"
 
-	"shootdown/internal/sanitizer/lint"
 	"shootdown/internal/sanitizer/ssa"
 	"shootdown/internal/sanitizer/typedlint"
 	"shootdown/internal/sched"
@@ -76,11 +79,12 @@ import (
 // report is the -json shape; field names are part of the CI contract
 // (ci.sh publishes it as VET_findings.json).
 type report struct {
-	Findings     []lint.Finding          `json:"findings"`
-	Suppressions []typedlint.Suppression `json:"suppressions"`
+	Findings []typedlint.Finding `json:"findings"`
+	// Suppressions are the ssa tier's marker-waived findings.
+	Suppressions []ssa.Suppression `json:"suppressions"`
 	// Witnesses are expected rediscoveries of config-seeded faults (the
 	// lockset tier's BrokenEarlyAck cross-validation).
-	Witnesses []lint.Finding `json:"witnesses"`
+	Witnesses []typedlint.Finding `json:"witnesses"`
 	// XVal is the race cross-validation table: one row per registry
 	// entry with its static discharge status.
 	XVal []ssa.XValRow `json:"xval"`
@@ -121,9 +125,9 @@ func main() {
 		os.Exit(2)
 	}
 	rep := report{
-		Findings:     []lint.Finding{},
-		Suppressions: []typedlint.Suppression{},
-		Witnesses:    []lint.Finding{},
+		Findings:     []typedlint.Finding{},
+		Suppressions: []ssa.Suppression{},
+		Witnesses:    []typedlint.Finding{},
 		TimingsMS:    make(map[string]float64),
 	}
 	results := sched.Collect(2, func(i int) *report {
@@ -132,7 +136,7 @@ func main() {
 				return &report{}
 			}
 			r := typedlint.CheckModuleOnly(m, typedNames)
-			return &report{Findings: r.Findings, Suppressions: r.Suppressions, TimingsMS: r.Timings}
+			return &report{Findings: r.Findings, TimingsMS: r.Timings}
 		}
 		if !runSSA {
 			return &report{}
@@ -162,7 +166,7 @@ func main() {
 		}
 	}
 	typedlint.SortFindings(rep.Findings)
-	typedlint.SortSuppressions(rep.Suppressions)
+	ssa.SortSuppressions(rep.Suppressions)
 	typedlint.SortFindings(rep.Witnesses)
 
 	if *xvalOut != "" {

@@ -32,8 +32,9 @@ const (
 	// the guard field is set.
 	DiscAckOrdered = "ack-ordered"
 	// DiscEpoch: a plain field with exactly one writing function
-	// module-wide; readers either poll it as a racy-by-design predicate
-	// or order through the accompanying sync hand-off.
+	// module-wide, read only by methods of the owning struct, which
+	// either poll it as a racy-by-design predicate or order through the
+	// accompanying sync hand-off.
 	DiscEpoch = "single-writer-epoch"
 )
 

@@ -5,7 +5,7 @@ import (
 	"go/types"
 	"strings"
 
-	"shootdown/internal/sanitizer/lint"
+	"shootdown/internal/sanitizer/typedlint"
 )
 
 // detflow proves the parallel-harness guarantee statically: experiment
@@ -25,8 +25,8 @@ import (
 // Sinks:
 //
 //   - stores into simulated state — a field of a type declared in a
-//     lint.ParallelScope package, or a package-level var of one (this
-//     covers stats: counters are simulated state too)
+//     simulated package (typedlint.InSimulatedScope), or a package-level
+//     var of one (this covers stats: counters are simulated state too)
 //   - arguments to any module function whose name contains "Digest"
 //     (StateDigest and friends must be replay-stable by definition)
 //   - event timestamps: sim.Proc.Delay, sim.Cond.WaitTimeout,
@@ -76,7 +76,7 @@ type dfAnalysis struct {
 }
 
 // checkDetFlow runs the nondeterminism-taint analysis.
-func checkDetFlow(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkDetFlow(ctx *modCtx) ([]Finding, []Suppression) {
 	a := &dfAnalysis{
 		ctx:         ctx,
 		prog:        ctx.program(),
@@ -106,7 +106,7 @@ func checkDetFlow(ctx *modCtx) ([]lint.Finding, []Suppression) {
 		}
 	}
 	// Final pass: report sinks.
-	var findings []lint.Finding
+	var findings []Finding
 	seen := make(map[string]bool)
 	report := func(f *Func, v *Value, msg string) {
 		file, line := a.ctx.posLine(f.Decl, v.Pos)
@@ -115,7 +115,7 @@ func checkDetFlow(ctx *modCtx) ([]lint.Finding, []Suppression) {
 			return
 		}
 		seen[key] = true
-		findings = append(findings, lint.Finding{
+		findings = append(findings, Finding{
 			File: file, Line: line, Analyzer: "detflow", Msg: msg,
 		})
 	}
@@ -430,7 +430,7 @@ func (a *dfAnalysis) reportSinks(f *Func, taint map[*Value]string, report func(*
 // simulatedStateDesc names the simulated-state location addr writes, or ""
 // when the store target is not simulated state. A location is simulated
 // state when it is (a field chain or element of) a package-level var or
-// struct type declared in a lint.ParallelScope package.
+// struct type declared in a simulated package.
 func simulatedStateDesc(addr *Value) string {
 	for v := addr; v != nil; {
 		switch v.Kind {
@@ -463,7 +463,7 @@ func simulatedPkg(pkg *types.Package) bool {
 	if pkg == nil || !strings.HasPrefix(pkg.Path(), modPath+"/") {
 		return false
 	}
-	return lint.InParallelScope(strings.TrimPrefix(pkg.Path(), modPath+"/") + "/")
+	return typedlint.InSimulatedScope(strings.TrimPrefix(pkg.Path(), modPath+"/") + "/")
 }
 
 // moduleFunc reports whether fn is declared inside the module.

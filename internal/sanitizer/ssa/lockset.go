@@ -8,7 +8,6 @@ import (
 	"go/types"
 
 	"shootdown/internal/race"
-	"shootdown/internal/sanitizer/lint"
 )
 
 // lockset is the RacerD-style discharge prover for the dynamic race
@@ -81,16 +80,16 @@ type locksetAnalysis struct {
 	// sites collects resolved detector calls per registry key.
 	sites map[string][]*lockSite
 
-	findings  []lint.Finding
+	findings  []Finding
 	sups      []Suppression
-	witnesses []lint.Finding
+	witnesses []Finding
 	reported  map[string]bool
 	// entryBad / entryWaived drive the per-entry XVal status.
 	entryBad    map[string]bool
 	entryWaived map[string]bool
 }
 
-func checkLockset(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkLockset(ctx *modCtx) ([]Finding, []Suppression) {
 	la := &locksetAnalysis{
 		ctx: ctx, prog: ctx.program(), mhp: ctx.buildMHP(),
 		entries:     race.Registry(),
@@ -339,7 +338,7 @@ func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool
 							continue
 						}
 						witnessSeen[key] = true
-						la.witnesses = append(la.witnesses, lint.Finding{
+						la.witnesses = append(la.witnesses, Finding{
 							File: file, Line: line, Analyzer: "lockset",
 							Msg: fmt.Sprintf("unprotected access to %q seeded by %s: early ack forced on while %s.%s is set — the exact schedule the dynamic model reports as a race on this field", e.Key, e.SeededBy, e.GuardStruct, e.Guard),
 						})
@@ -494,34 +493,61 @@ func (la *locksetAnalysis) unitReadsConfig(f *Func, knob string) bool {
 	return false
 }
 
-// checkEpoch: exactly one unit module-wide may store the backing field.
+// checkEpoch: exactly one unit module-wide may store the backing field,
+// and every read of it sits in a method of the owning struct — the
+// racy-by-design poll the discipline admits (smp's Request.Done).
 func (la *locksetAnalysis) checkEpoch(e race.Field) {
-	fv := la.fieldVar(e)
-	if fv == nil {
+	fvs := la.fieldVars(e)
+	if len(fvs) == 0 {
 		return
 	}
-	writers := make(map[*Func]token.Pos)
+	writers := make(map[*types.Var]map[*Func]token.Pos)
 	la.prog.eachUnit(func(f *Func) {
+		stored := make(map[*Value]bool)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Kind != IStore || in.Addr == nil {
 					continue
 				}
-				if fr := chase(in.Addr); fr != nil && fr.Kind == VFieldRead && fr.Obj == fv {
-					if _, ok := writers[f]; !ok {
-						writers[f] = in.Pos
-					}
+				fr := chase(in.Addr)
+				if fr == nil || fr.Kind != VFieldRead || !fvs[fr.Obj] {
+					continue
+				}
+				stored[fr] = true
+				if writers[fr.Obj] == nil {
+					writers[fr.Obj] = make(map[*Func]token.Pos)
+				}
+				if _, ok := writers[fr.Obj][f]; !ok {
+					writers[fr.Obj][f] = in.Pos
 				}
 			}
 		}
+		if la.inMethodOf(f, e) {
+			return
+		}
+		for _, v := range f.Values() {
+			if v.Kind == VFieldRead && fvs[v.Obj] && !stored[v] {
+				la.problem(e.Key, f, v.Pos,
+					"read of %q outside the methods of %s: the single-writer-epoch discipline admits only the owning struct's racy-by-design poll, so this read of %s.%s escapes the proof", e.Key, e.Struct, e.Struct, e.GoField)
+			}
+		}
 	})
-	if len(writers) <= 1 {
-		return
+	for _, ws := range writers {
+		if len(ws) <= 1 {
+			continue
+		}
+		for f, pos := range ws {
+			la.problem(e.Key, f, pos,
+				"extra writer of %q: the single-writer-epoch discipline admits exactly one store site module-wide (%d found), so this write races the epoch owner's", e.Key, len(ws))
+		}
 	}
-	for f, pos := range writers {
-		la.problem(e.Key, f, pos,
-			"extra writer of %q: the single-writer-epoch discipline admits exactly one store site module-wide (%d found), so this write races the epoch owner's", e.Key, len(writers))
-	}
+}
+
+// inMethodOf reports whether f is (or is a literal inside) a method of the
+// registry entry's owning struct.
+func (la *locksetAnalysis) inMethodOf(f *Func, e race.Field) bool {
+	sig, ok := f.Decl.Obj.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && isNamed(sig.Recv().Type(), modPath+"/"+e.Owner, e.Struct)
 }
 
 // checkAdjacency: every raw read or write of the backing Go field must
@@ -529,8 +555,8 @@ func (la *locksetAnalysis) checkEpoch(e race.Field) {
 // otherwise the dynamic model is blind to that access and the static
 // discipline proof does not cover it.
 func (la *locksetAnalysis) checkAdjacency(e race.Field, ss []*lockSite) {
-	fv := la.fieldVar(e)
-	if fv == nil {
+	fvs := la.fieldVars(e)
+	if len(fvs) == 0 {
 		return
 	}
 	instrumented := make(map[*Func]bool, len(ss))
@@ -542,7 +568,7 @@ func (la *locksetAnalysis) checkAdjacency(e race.Field, ss []*lockSite) {
 			return
 		}
 		for _, v := range f.Values() {
-			if v.Kind == VFieldRead && v.Obj == fv {
+			if v.Kind == VFieldRead && fvs[v.Obj] {
 				la.problem(e.Key, f, v.Pos,
 					"unprotected access to %q: this unit touches the backing field %s.%s without a detector site, so neither the dynamic model nor the %s proof covers it", e.Key, e.Struct, e.GoField, e.Discipline)
 			}
@@ -550,29 +576,33 @@ func (la *locksetAnalysis) checkAdjacency(e race.Field, ss []*lockSite) {
 	})
 }
 
-// fieldVar resolves the registry entry's backing *types.Var.
-func (la *locksetAnalysis) fieldVar(e race.Field) *types.Var {
+// fieldVars resolves the registry entry's backing field in every loaded
+// copy of its owner package (a test fixture may typecheck a second copy
+// to reach the unexported field).
+func (la *locksetAnalysis) fieldVars(e race.Field) map[*types.Var]bool {
+	out := make(map[*types.Var]bool)
 	if e.GoField == "" {
-		return nil
+		return out
 	}
-	p := la.ctx.m.Lookup(modPath + "/" + e.Owner)
-	if p == nil {
-		return nil
-	}
-	obj := p.Types.Scope().Lookup(e.Struct)
-	if obj == nil {
-		return nil
-	}
-	st, ok := obj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == e.GoField {
-			return st.Field(i)
+	for _, p := range la.ctx.pkgs {
+		if p.Path != modPath+"/"+e.Owner {
+			continue
+		}
+		obj := p.Types.Scope().Lookup(e.Struct)
+		if obj == nil {
+			continue
+		}
+		st, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i).Name() == e.GoField {
+				out[st.Field(i)] = true
+			}
 		}
 	}
-	return nil
+	return out
 }
 
 // problem records one discipline violation: waived into a suppression
@@ -599,7 +629,7 @@ func (la *locksetAnalysis) problem(entryKey string, f *Func, pos token.Pos, form
 		}
 		return
 	}
-	la.findings = append(la.findings, lint.Finding{
+	la.findings = append(la.findings, Finding{
 		File: file, Line: line, Analyzer: "lockset", Msg: msg,
 	})
 	if entryKey != "" {

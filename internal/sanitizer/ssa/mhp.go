@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 // mhp is the whole-program may-happen-in-parallel analysis. The simulator
@@ -90,7 +88,7 @@ type mhpInfo struct {
 	handlerRoots map[*Func]bool
 	handlerReach map[*Func]bool
 
-	findings []lint.Finding
+	findings []Finding
 	reported map[string]bool
 }
 
@@ -120,7 +118,7 @@ func (ctx *modCtx) buildMHP() *mhpInfo {
 }
 
 // checkMHP reports blocking calls reachable in IRQ-handler context.
-func checkMHP(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkMHP(ctx *modCtx) ([]Finding, []Suppression) {
 	m := ctx.buildMHP()
 	visited := 0
 	m.prog.eachUnit(func(f *Func) {
@@ -680,7 +678,7 @@ func (m *mhpInfo) report(f *Func, pos token.Pos, analyzer, format string, args .
 		return
 	}
 	m.reported[key] = true
-	m.findings = append(m.findings, lint.Finding{
+	m.findings = append(m.findings, Finding{
 		File: file, Line: line, Analyzer: analyzer, Msg: msg,
 	})
 }

@@ -25,41 +25,47 @@
 //     fault.Decide, map-range order, select arms, goroutine identity)
 //     must never flow into simulated state, StateDigest inputs, stats, or
 //     event timestamps; sorting sanitizes iteration-order taint.
+//   - mhp and lockset: the concurrency-proof pair — may-happen-in-parallel
+//     contexts, and discharge proofs for every race-instrumented field,
+//     including that raw accesses to a registered field stay inside units
+//     the detector instruments (or, for a single-writer epoch, inside
+//     methods of the owning struct).
+//   - fabproof: numeric abstract-interpretation proofs of the async
+//     fabric's ring bounds, monotonicity and coalescing soundness.
 //   - stalemarker: suppression markers that no analyzer consumed are
 //     themselves findings, so retired suppressions cannot linger.
 //
-// Findings reuse lint.Finding and are sorted by file, line and analyzer,
-// so output is byte-identical no matter how the caller schedules the work.
+// This tier is the only producer of suppressions: a finding silenced by a
+// documented marker comment is reported as a Suppression so waivers stay
+// auditable (cmd/tlbvet -suppressions). Findings reuse typedlint.Finding
+// and are sorted by file, line and analyzer, so output is byte-identical
+// no matter how the caller schedules the work.
 package ssa
 
 import (
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 	"time"
 
-	"shootdown/internal/sanitizer/lint"
 	"shootdown/internal/sanitizer/typedlint"
 )
 
-// The loader, typed helpers and marker index are shared with typedlint;
-// local names keep the analyzer bodies terse.
+// The loader and typed helpers are shared with typedlint; local names
+// keep the analyzer bodies terse.
 type (
 	// Module is the loaded and typechecked analysis target.
 	Module = typedlint.Module
 	// Package is one typechecked package of the module.
 	Package = typedlint.Package
-	// Suppression is a finding silenced by a documented marker.
-	Suppression = typedlint.Suppression
+	// Finding is one analyzer hit.
+	Finding = typedlint.Finding
 	// FuncDecl pairs a declaration with its package.
 	FuncDecl = typedlint.FuncDecl
 )
 
-const (
-	modPath        = typedlint.ModulePath
-	transferMarker = typedlint.TransferMarker
-	lockFreeMarker = typedlint.LockFreeMarker
-	fabBoundMarker = typedlint.FabBoundMarker
-)
+const modPath = typedlint.ModulePath
 
 var (
 	allFuncs   = typedlint.AllFuncs
@@ -68,8 +74,77 @@ var (
 	identObj   = typedlint.IdentObj
 	namedType  = typedlint.NamedType
 	isNamed    = typedlint.IsNamed
-	inFixture  = typedlint.InFixture
 )
+
+// Suppression records a finding silenced by a documented marker, so
+// suppressions stay auditable.
+type Suppression struct {
+	// File and Line locate the suppressed site (module-relative).
+	File string
+	Line int
+	// Analyzer names the rule that would have fired.
+	Analyzer string
+	// Reason is the marker text after the colon.
+	Reason string
+}
+
+// The marker vocabulary: each comment marker waives one analyzer's
+// finding, and an unconsumed one is a stalemarker finding.
+const (
+	// transferMarker waives a flush obligation.
+	transferMarker = "obligation-transferred:"
+	// lockFreeMarker waives a lockset finding: it documents why an access
+	// to shared state needs no lock/atomic/ownership discharge.
+	lockFreeMarker = "lock-free-by-design:"
+	// fabBoundMarker waives a fabproof obligation: it documents why a
+	// fabric bound the numeric tier cannot discharge holds anyway.
+	fabBoundMarker = "bounded-by-design:"
+)
+
+// markerIndex maps file → line → marker reason. A marker covers its own
+// line and the line below it (doc-comment style).
+type markerIndex map[string]map[int]string
+
+// collectMarkers indexes every comment starting with marker.
+func collectMarkers(fset *token.FileSet, pkgs []*Package, marker string) markerIndex {
+	out := make(markerIndex)
+	for _, p := range pkgs {
+		for i, f := range p.Files {
+			rel := p.FileNames[i]
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					// Only a comment that *starts* with the marker counts;
+					// prose that merely mentions the marker string (docs,
+					// quoted examples) is not a waiver.
+					text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
+					if !strings.HasPrefix(text, marker) {
+						continue
+					}
+					reason := strings.TrimSpace(text[len(marker):])
+					if out[rel] == nil {
+						out[rel] = make(map[int]string)
+					}
+					out[rel][fset.Position(c.End()).Line] = reason
+				}
+			}
+		}
+	}
+	return out
+}
+
+// For returns the marker reason covering line (the marker may sit on the
+// line itself or on the line above).
+func (mi markerIndex) For(file string, line int) (string, bool) {
+	lines := mi[file]
+	if lines == nil {
+		return "", false
+	}
+	if r, ok := lines[line]; ok {
+		return r, true
+	}
+	r, ok := lines[line-1]
+	return r, ok
+}
 
 func buildImplMap(pkgs []*Package) map[*types.Func][]*types.Func {
 	return typedlint.BuildImplMap(pkgs)
@@ -77,14 +152,14 @@ func buildImplMap(pkgs []*Package) map[*types.Func][]*types.Func {
 
 // Result is the outcome of an ssa-tier run.
 type Result struct {
-	Findings     []lint.Finding
+	Findings     []Finding
 	Suppressions []Suppression
 	// Witnesses are the expected rediscoveries of config-seeded faults:
 	// violations the lockset prover finds at deliberately broken sites
 	// (Config.BrokenEarlyAck). They are not findings — the breakage is
 	// intentional — but their exact count is part of the cross-validation
 	// contract with the dynamic race model.
-	Witnesses []lint.Finding
+	Witnesses []Finding
 	// XVal is the cross-validation report: one row per internal/race
 	// registry entry with its static discharge status.
 	XVal []XValRow
@@ -103,7 +178,7 @@ type Result struct {
 
 // lockResult carries the lockset analyzer's extra outputs to Result.
 type lockResult struct {
-	witnesses []lint.Finding
+	witnesses []Finding
 	xval      []XValRow
 }
 
@@ -111,7 +186,7 @@ type lockResult struct {
 type modCtx struct {
 	m       *Module
 	pkgs    []*Package
-	markers typedlint.MarkerIndex
+	markers markerIndex
 	// visited records per-analyzer function coverage (written by each
 	// analyzer, read by coverage-floor tests).
 	visited map[string]int
@@ -120,11 +195,11 @@ type modCtx struct {
 	usedMarkers map[string]map[int]bool
 	// lockMarkers/usedLockMarkers do the same for the lockset tier's
 	// "lock-free-by-design:" waivers.
-	lockMarkers     typedlint.MarkerIndex
+	lockMarkers     markerIndex
 	usedLockMarkers map[string]map[int]bool
 	// fabMarkers/usedFabMarkers do the same for the fabproof tier's
 	// "bounded-by-design:" waivers.
-	fabMarkers     typedlint.MarkerIndex
+	fabMarkers     markerIndex
 	usedFabMarkers map[string]map[int]bool
 	// lockRes is filled by checkLockset for run() to lift into Result.
 	lockRes *lockResult
@@ -151,7 +226,7 @@ func (ctx *modCtx) fabMarkerFor(file string, line int) (string, bool) {
 
 // consumeMarker resolves a marker covering line and records the marker's
 // own line as consumed, so stalemarker can flag the rest.
-func consumeMarker(idx typedlint.MarkerIndex, used map[string]map[int]bool, file string, line int) (string, bool) {
+func consumeMarker(idx markerIndex, used map[string]map[int]bool, file string, line int) (string, bool) {
 	r, ok := idx.For(file, line)
 	if ok {
 		ml := line
@@ -164,15 +239,6 @@ func consumeMarker(idx typedlint.MarkerIndex, used map[string]map[int]bool, file
 		used[file][ml] = true
 	}
 	return r, ok
-}
-
-// Check loads the enclosing module and runs every ssa-tier analyzer.
-func Check() (*Result, error) {
-	m, err := typedlint.LoadModule()
-	if err != nil {
-		return nil, err
-	}
-	return CheckModule(m), nil
 }
 
 // CheckModule runs every ssa-tier analyzer over an already-loaded module.
@@ -200,12 +266,21 @@ func Analyzers() []string {
 // the analyzers with the fixture in scope, reporting only findings located
 // in the fixture's file.
 func CheckFixture(m *Module, file string) (*Result, error) {
-	fp, err := m.LoadFixture(file)
+	return CheckFixtureIn(m, file, "")
+}
+
+// CheckFixtureIn is CheckFixture for a fixture typechecked inside the
+// module package at pkgPath (see typedlint.Module.LoadFixtureIn), so it
+// can reach that package's unexported fields. Findings are still
+// restricted to the fixture file itself.
+func CheckFixtureIn(m *Module, file, pkgPath string) (*Result, error) {
+	fp, err := m.LoadFixtureIn(file, pkgPath)
 	if err != nil {
 		return nil, err
 	}
 	pkgs := append(append([]*Package{}, m.Pkgs...), fp)
-	return run(m, pkgs, fp, nil), nil
+	// The fixture is always the package's last file.
+	return run(m, pkgs, fp.FileNames[len(fp.FileNames)-1:], nil), nil
 }
 
 // analyzerTable lists the ssa-tier analyzers in execution order.
@@ -213,7 +288,7 @@ func CheckFixture(m *Module, file string) (*Result, error) {
 // it is skipped in -only runs that omit any marker-consuming analyzer.
 var analyzerTable = []struct {
 	name string
-	run  func(*modCtx) ([]lint.Finding, []Suppression)
+	run  func(*modCtx) ([]Finding, []Suppression)
 }{
 	{"flushobligation", checkFlushObligation},
 	{"lockorder", checkLockOrder},
@@ -226,18 +301,18 @@ var analyzerTable = []struct {
 }
 
 // run executes the analyzers over pkgs. When only is non-nil, findings are
-// restricted to that package's files (fixture mode); module-wide context
+// restricted to those files (fixture mode); module-wide context
 // (summaries, call graph) still spans all of pkgs. When names is non-empty,
 // only the named analyzers execute — except stalemarker, which additionally
 // requires every marker-consuming analyzer to have run (otherwise unconsumed
 // markers would be false positives).
-func run(m *Module, pkgs []*Package, only *Package, names []string) *Result {
+func run(m *Module, pkgs []*Package, only []string, names []string) *Result {
 	ctx := &modCtx{
 		m:               m,
 		pkgs:            pkgs,
-		markers:         typedlint.CollectMarkers(m.Fset, pkgs),
-		lockMarkers:     typedlint.CollectMarkersFor(m.Fset, pkgs, lockFreeMarker),
-		fabMarkers:      typedlint.CollectMarkersFor(m.Fset, pkgs, fabBoundMarker),
+		markers:         collectMarkers(m.Fset, pkgs, transferMarker),
+		lockMarkers:     collectMarkers(m.Fset, pkgs, lockFreeMarker),
+		fabMarkers:      collectMarkers(m.Fset, pkgs, fabBoundMarker),
 		visited:         make(map[string]int),
 		usedMarkers:     make(map[string]map[int]bool),
 		usedLockMarkers: make(map[string]map[int]bool),
@@ -279,20 +354,49 @@ func run(m *Module, pkgs []*Package, only *Package, names []string) *Result {
 	}
 	res.FuncsVisited = ctx.visited
 	if only != nil {
-		res.Findings = typedlint.FilterByFiles(res.Findings, only.FileNames)
-		res.Suppressions = typedlint.FilterSupsByFiles(res.Suppressions, only.FileNames)
-		res.Witnesses = typedlint.FilterByFiles(res.Witnesses, only.FileNames)
+		res.Findings = typedlint.FilterByFiles(res.Findings, only)
+		res.Suppressions = filterSupsByFiles(res.Suppressions, only)
+		res.Witnesses = typedlint.FilterByFiles(res.Witnesses, only)
 	}
 	sortFindings(res.Findings)
-	typedlint.SortSuppressions(res.Suppressions)
+	SortSuppressions(res.Suppressions)
 	sortFindings(res.Witnesses)
 	return res
+}
+
+// SortSuppressions orders suppressions by file, line and analyzer.
+func SortSuppressions(sups []Suppression) {
+	sort.Slice(sups, func(i, j int) bool {
+		a, b := sups[i], sups[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Analyzer < b.Analyzer
+	})
+}
+
+// filterSupsByFiles keeps only suppressions located in the given files.
+func filterSupsByFiles(sups []Suppression, files []string) []Suppression {
+	allowed := make(map[string]bool, len(files))
+	for _, f := range files {
+		allowed[f] = true
+	}
+	var out []Suppression
+	for _, s := range sups {
+		if allowed[s.File] {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // sortFindings is the one canonical finding order for the ssa tier; every
 // analyzer and the combined report sort through it so output is
 // byte-identical no matter how the caller schedules the work.
-func sortFindings(fs []lint.Finding) {
+func sortFindings(fs []Finding) {
 	typedlint.SortFindings(fs)
 }
 
@@ -301,10 +405,10 @@ func sortFindings(fs []lint.Finding) {
 // cannot accumulate in the tree. Both marker vocabularies are covered —
 // "obligation-transferred:" (flushobligation) and "lock-free-by-design:"
 // (lockset).
-func checkStaleMarkers(ctx *modCtx) ([]lint.Finding, []Suppression) {
-	var findings []lint.Finding
+func checkStaleMarkers(ctx *modCtx) ([]Finding, []Suppression) {
+	var findings []Finding
 	for _, mk := range []struct {
-		idx    typedlint.MarkerIndex
+		idx    markerIndex
 		used   map[string]map[int]bool
 		marker string
 		why    string
@@ -321,7 +425,7 @@ func checkStaleMarkers(ctx *modCtx) ([]lint.Finding, []Suppression) {
 				if mk.used[file][line] {
 					continue
 				}
-				findings = append(findings, lint.Finding{
+				findings = append(findings, Finding{
 					File: file, Line: line, Analyzer: "stalemarker",
 					Msg: "stale \"" + mk.marker + "\" marker: " + mk.why + "; delete the marker",
 				})

@@ -5,20 +5,14 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"path/filepath"
-	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// costliteral (typed tier): every cycle cost charged in the machine-model
-// packages must come from the cost model. The syntactic pass only catches
-// a literal written directly at a Delay call; this pass catches what it
-// misses:
+// costliteral: every cycle cost charged in the machine-model packages
+// must come from the cost model. The analyzer flags
 //
-//   - named constants and constant expressions (go/types constant folding
-//     evaluates them, so `p.Delay(fixedCost)` is as visible as
-//     `p.Delay(123)`), and
+//   - integer literals, named constants and constant expressions (go/types
+//     constant folding evaluates them, so `p.Delay(fixedCost)` is as
+//     visible as `p.Delay(123)`), and
 //   - thin wrappers: a parameter that a function forwards whole to Delay
 //     (or to another cost-like parameter) is itself cost-like, so a
 //     constant passed to the wrapper is flagged at the wrapper's call
@@ -26,26 +20,6 @@ import (
 //
 // The sink is (*sim.Proc).Delay resolved by callee identity, not method
 // name, so an unrelated Delay method elsewhere cannot confuse the pass.
-
-// costScope mirrors the syntactic analyzer's directory scope.
-var costScope = []string{
-	"internal/apic/", "internal/cache/", "internal/core/", "internal/daemons/",
-	"internal/kernel/", "internal/mm/", "internal/smp/", "internal/syscalls/",
-	"internal/tlb/",
-}
-
-func inCostScopeTyped(rel string) bool {
-	rel = filepath.ToSlash(rel)
-	if InFixture(rel) {
-		return true
-	}
-	for _, p := range costScope {
-		if strings.HasPrefix(rel, p) {
-			return true
-		}
-	}
-	return false
-}
 
 // isDelaySink reports whether fn is (*sim.Proc).Delay.
 func isDelaySink(fn *types.Func) bool {
@@ -65,8 +39,8 @@ type costParam struct {
 	idx int // index into the signature's params
 }
 
-// checkCostConst runs the typed costliteral analyzer.
-func checkCostConst(ctx *modCtx) ([]lint.Finding, []Suppression) {
+// checkCostLiteral runs the costliteral analyzer.
+func checkCostLiteral(ctx *modCtx) []Finding {
 	funcs := AllFuncs(ctx.pkgs)
 
 	// Fixpoint: a parameter is cost-like when its function passes it whole
@@ -119,9 +93,9 @@ func checkCostConst(ctx *modCtx) ([]lint.Finding, []Suppression) {
 
 	// Flag compile-time-constant arguments reaching a sink from cost-scope
 	// code. Zero is exempt: `Delay(0)` is an explicit no-op, not a cost.
-	var out []lint.Finding
+	var out []Finding
 	for _, fd := range funcs {
-		if !inCostScopeTyped(fd.File) {
+		if !inCostScope(fd.File) {
 			continue
 		}
 		info := fd.Pkg.Info
@@ -155,7 +129,7 @@ func checkCostConst(ctx *modCtx) ([]lint.Finding, []Suppression) {
 				if !isDelaySink(callee) {
 					dest = fmt.Sprintf("cost parameter %d of %s", i, callee.Name())
 				}
-				out = append(out, lint.Finding{
+				out = append(out, Finding{
 					File: fd.File, Line: ctx.m.Fset.Position(arg.Pos()).Line,
 					Analyzer: "costliteral",
 					Msg: fmt.Sprintf("%s %s passed to %s; route it through the cost model (internal/mach/costs.go)",
@@ -165,5 +139,5 @@ func checkCostConst(ctx *modCtx) ([]lint.Finding, []Suppression) {
 			return true
 		})
 	}
-	return out, nil
+	return out
 }

@@ -3,27 +3,26 @@ package typedlint
 import (
 	"fmt"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// bannedImports mirrors the syntactic analyzer's list; the typed pass
-// checks the import path of every ImportSpec, so aliased (`import t
-// "time"`), dot and blank imports are all caught — the name an importer
-// binds is irrelevant to what the package does.
+// determinism: no wall-clock (time) or global-PRNG (math/rand) import in
+// non-test code — simulated time comes from sim.Engine and randomness
+// from the seeded internal/sim generator, so every run is replayable. The
+// analyzer checks the import path of every ImportSpec, so aliased
+// (`import t "time"`), dot and blank imports are all caught — the name an
+// importer binds is irrelevant to what the package does.
 var bannedImports = map[string]string{
 	"time":         "wall-clock time breaks replayability; simulated time comes from sim.Engine.Now",
 	"math/rand":    "the global PRNG breaks replayability; use the seeded generator in internal/sim",
 	"math/rand/v2": "the global PRNG breaks replayability; use the seeded generator in internal/sim",
 }
 
-func checkDeterminismTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
-	var out []lint.Finding
+func checkDeterminism(ctx *modCtx) []Finding {
+	var out []Finding
 	for _, p := range ctx.pkgs {
 		for i, f := range p.Files {
 			rel := p.FileNames[i]
-			if !lint.InDeterminismScope(rel) {
-				// The analyzer tier times itself; see lint.InDeterminismScope.
+			if !inDeterminismScope(rel) {
 				continue
 			}
 			for _, imp := range f.Imports {
@@ -42,7 +41,7 @@ func checkDeterminismTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
 				default:
 					form = fmt.Sprintf("aliased import (as %q)", imp.Name.Name)
 				}
-				out = append(out, lint.Finding{
+				out = append(out, Finding{
 					File: rel, Line: ctx.m.Fset.Position(imp.Pos()).Line,
 					Analyzer: "determinism",
 					Msg:      fmt.Sprintf("%s of %q: %s", form, path, why),
@@ -50,5 +49,5 @@ func checkDeterminismTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }

@@ -215,6 +215,14 @@ func (m *Module) load(path string) (*Package, error) {
 // already-loaded module, returning it as a synthetic package. The fixture
 // may import any module or GOROOT package.
 func (m *Module) LoadFixture(file string) (*Package, error) {
+	return m.LoadFixtureIn(file, "")
+}
+
+// LoadFixtureIn is LoadFixture for a fixture that must see a module
+// package's unexported identifiers: the fixture is typechecked together
+// with the files of the package at pkgPath, as a second copy of that
+// package. An empty pkgPath loads the fixture as a package of its own.
+func (m *Module) LoadFixtureIn(file, pkgPath string) (*Package, error) {
 	full, err := filepath.Abs(file)
 	if err != nil {
 		return nil, err
@@ -233,6 +241,15 @@ func (m *Module) LoadFixture(file string) (*Package, error) {
 		Files:     []*ast.File{f},
 		FileNames: []string{filepath.ToSlash(rel)},
 		Info:      newInfo(),
+	}
+	if pkgPath != "" {
+		host := m.Lookup(pkgPath)
+		if host == nil {
+			return nil, fmt.Errorf("typedlint: fixture host %s is not a module package", pkgPath)
+		}
+		p.Path, p.Dir = host.Path, host.Dir
+		p.Files = append(append([]*ast.File{}, host.Files...), f)
+		p.FileNames = append(append([]string{}, host.FileNames...), filepath.ToSlash(rel))
 	}
 	cfg := types.Config{Importer: m}
 	if p.Types, err = cfg.Check(p.Path, m.Fset, p.Files, p.Info); err != nil {

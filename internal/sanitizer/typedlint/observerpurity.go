@@ -6,14 +6,22 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// observerpurity (typed tier): hooks must be purely observational. The
-// syntactic pass (internal/sanitizer/lint/purity.go) catches direct
-// assignments through a hook parameter; this pass additionally catches
+// observerpurity: hooks must be purely observational. A hook that mutates
+// the state handed to it, or package-level state, silently changes
+// protocol behaviour only when a checker is attached — exactly the class
+// of bug the race detector's cycle-identical guarantee (internal/race)
+// exists to exclude. Hook literals are recognized at three kinds of
+// installation site: assignment to a field named *Hook, a field value of
+// an *Observer/*Probe composite literal (or under a *Hook key), and an
+// argument to SetObserver/SetProbe. Inside a hook the analyzer flags
 //
+//   - writes (assignment, ++/--) through a hook parameter;
+//   - writes to a package-level variable, resolved by the variable's
+//     scope — captured function-locals stay legal, since accumulating
+//     results in the installing function is the sanctioned pattern
+//     (sanitizer.Attach, experiments.RunRace);
 //   - mutation through method calls: a hook body that calls a method on
 //     observed state is flagged when module-wide summaries prove the
 //     method (transitively) writes through its receiver — e.g.
@@ -33,8 +41,8 @@ import (
 //     instrumentation there (k.EnableRace(d), f.EnableRace()) is its
 //     designed purpose. The exemption keys on the field itself, however
 //     the hook is installed (env.BootHook = ..., or an Env literal).
-//     Direct writes through the parameter are still flagged, same as the
-//     syntactic tier.
+//     Direct writes through the parameter or to package-level variables
+//     are still flagged.
 var pureDeclPkgs = []string{
 	ModulePath + "/internal/race",
 	ModulePath + "/internal/trace",
@@ -55,11 +63,11 @@ func inPurePkg(fn *types.Func) bool {
 	return false
 }
 
-// checkObserverPurityTyped runs the typed observer-purity analyzer.
-func checkObserverPurityTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
+// checkObserverPurity runs the observer-purity analyzer.
+func checkObserverPurity(ctx *modCtx) []Finding {
 	mut := buildMutatingSummaries(ctx)
 	impls := BuildImplMap(ctx.pkgs)
-	var out []lint.Finding
+	var out []Finding
 	for _, fd := range AllFuncs(ctx.pkgs) {
 		info := fd.Pkg.Info
 		ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
@@ -69,7 +77,7 @@ func checkObserverPurityTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
 			return true
 		})
 	}
-	return out, nil
+	return out
 }
 
 // hookInstall is one recognized hook literal plus its installation kind.
@@ -149,7 +157,7 @@ func isBootHookField(obj types.Object) bool {
 }
 
 // checkHookLit flags impure statements inside one hook literal.
-func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []lint.Finding {
+func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []Finding {
 	info := fd.Pkg.Info
 
 	// Taint: the hook's parameters, plus locals derived from them.
@@ -187,13 +195,25 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 		})
 	}
 
-	var out []lint.Finding
-	report := func(pos token.Pos, target, how string) {
-		out = append(out, lint.Finding{
+	var out []Finding
+	report := func(pos token.Pos, what string) {
+		out = append(out, Finding{
 			File: fd.File, Line: ctx.m.Fset.Position(pos).Line,
 			Analyzer: "observerpurity",
-			Msg:      fmt.Sprintf("hook mutates observed state %q %s; observers must be purely observational", target, how),
+			Msg:      fmt.Sprintf("hook mutates %s; observers must be purely observational", what),
 		})
+	}
+	// reportWrite flags a write whose target is rooted in a hook parameter
+	// (or an alias of one) or in a package-level variable.
+	reportWrite := func(lhs ast.Expr) {
+		root := rootVar(info, lhs)
+		switch {
+		case root == nil:
+		case taint[root]:
+			report(lhs.Pos(), fmt.Sprintf("observed state %q (write through hook parameter)", root.Name()))
+		case root.Pkg() != nil && root.Parent() == root.Pkg().Scope():
+			report(lhs.Pos(), fmt.Sprintf("package-level variable %q", root.Name()))
+		}
 	}
 	isMutating := func(fn *types.Func) bool {
 		if inPurePkg(fn) {
@@ -217,14 +237,10 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 				return true
 			}
 			for _, lhs := range v.Lhs {
-				if root := rootVar(info, lhs); root != nil && taint[root] {
-					report(lhs.Pos(), root.Name(), "(write through hook parameter)")
-				}
+				reportWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			if root := rootVar(info, v.X); root != nil && taint[root] {
-				report(v.X.Pos(), root.Name(), "(write through hook parameter)")
-			}
+			reportWrite(v.X)
 		case *ast.CallExpr:
 			if h.boot {
 				return true // boot hooks attach instrumentation by design
@@ -238,7 +254,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 				return true
 			}
 			if root := rootVar(info, sel.X); root != nil && taint[root] {
-				report(v.Pos(), root.Name(), fmt.Sprintf("via call to mutating method %s", fn.Name()))
+				report(v.Pos(), fmt.Sprintf("observed state %q via call to mutating method %s", root.Name(), fn.Name()))
 			}
 		}
 		return true

@@ -1,9 +1,8 @@
-// Fixture: constant cycle costs the syntactic costliteral pass cannot
-// see. The typed analyzer must report exactly two findings — a named
-// constant at a Delay call, and the same constant routed through a thin
-// wrapper whose parameter the fixpoint proves cost-like. The syntactic
-// pass (which only matches integer literals at the call site) reports
-// zero on this file; the paired test asserts that delta.
+// Fixture: constant cycle costs with no integer literal at any call
+// site. The costliteral analyzer must report exactly two findings — a
+// named constant at a Delay call, and the same constant routed through a
+// thin wrapper whose parameter the fixpoint proves cost-like. Matching
+// literals at the call site alone would report zero.
 package costfix
 
 import "shootdown/internal/sim"

@@ -1,7 +1,6 @@
-// Fixture: banned imports in the three disguised forms the syntactic
-// name-based check historically missed — aliased, blank and dot imports.
-// The typed determinism analyzer keys on the import path, so all three
-// fire (three findings).
+// Fixture: banned imports in the three disguised forms a name-based
+// check would miss — aliased, blank and dot imports. The determinism
+// analyzer keys on the import path, so all three fire (three findings).
 package detfix
 
 import (

@@ -1,5 +1,5 @@
-// Fixture: a hook that mutates the state it observes in the two ways the
-// syntactic pass cannot prove — exactly two findings. The direct field
+// Fixture: a hook that mutates the state it observes in two ways only
+// type information can prove — exactly two findings. The direct field
 // write goes through the hook parameter; the method call mutates through
 // a local alias of the parameter, and only the module-wide summaries know
 // NoteContention writes its receiver's contention counter.

@@ -1,70 +1,68 @@
 // Package typedlint holds the type-checked analysis tier behind
-// `tlbcheck -vet` and cmd/tlbvet. Where internal/sanitizer/lint works on a
-// single file's syntax, this package typechecks the whole module (stdlib
-// only: go/types plus the GOROOT source importer) and runs typed analyses:
+// cmd/tlbvet. It typechecks the whole module (stdlib only: go/types plus
+// the GOROOT source importer) and runs one analyzer per static property:
 //
-//   - costliteral: the typed successor of the syntactic pass — named
-//     constants and thin Delay wrappers no longer escape, because sinks
-//     are found by callee identity and arguments by constant value.
 //   - determinism: banned imports (time, math/rand) by import path, so
 //     aliased, dot and blank imports cannot slip through.
-//   - observerpurity: hook/observer/probe literals must not mutate
-//     simulated state even through method calls or aliases, using
-//     module-wide mutating-method summaries.
+//   - costliteral: no constant cycle cost reaches (*sim.Proc).Delay in
+//     the machine-model packages — literals, named constants and thin
+//     Delay wrappers alike, because sinks are found by callee identity
+//     and arguments by constant value.
+//   - observerpurity: hook/observer/probe literals must not write through
+//     their parameters or to package-level variables, nor mutate
+//     simulated state through method calls or aliases (module-wide
+//     mutating-method summaries).
+//   - parallelsafety: simulated packages declare no mutable
+//     package-level state, so concurrently booted worlds share nothing.
 //
-// The package also owns the module loader and the shared typed helpers
-// (FuncDecl enumeration, marker index, callee resolution) that the deeper
+// The package also owns the module loader, the analyzer scopes (cost,
+// determinism and simulated-package) and the shared typed helpers
+// (FuncDecl enumeration, callee resolution) that the deeper
 // internal/sanitizer/ssa tier builds on. The CFG/SSA dataflow analyzers —
-// flushobligation, lockorder, ipistate, detflow — live there.
+// flushobligation, lockorder, ipistate, detflow, mhp, lockset, fabproof —
+// live there.
 //
-// Findings reuse lint.Finding and are sorted by file, line and analyzer,
-// so output is byte-identical no matter how the caller schedules the work.
+// Findings are sorted by file, line and analyzer, so output is
+// byte-identical no matter how the caller schedules the work.
 package typedlint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 	"time"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// Suppression records a finding silenced by a documented marker, so
-// suppressions stay auditable (tlbfuzz prints them next to failures).
-type Suppression struct {
-	// File and Line locate the suppressed site (module-relative).
+// Finding is one analyzer hit, in the shape every static tier reports
+// (and cmd/tlbvet publishes as JSON).
+type Finding struct {
+	// File is the module-relative path (slash-separated).
 	File string
+	// Line is the 1-based source line.
 	Line int
-	// Analyzer names the rule that would have fired.
+	// Analyzer names the rule that fired.
 	Analyzer string
-	// Reason is the marker text after the colon.
-	Reason string
+	// Msg explains the violation.
+	Msg string
+}
+
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Analyzer, f.Msg)
 }
 
 // Result is the outcome of a typed-lint run.
 type Result struct {
-	Findings     []lint.Finding
-	Suppressions []Suppression
+	Findings []Finding
 	// FuncsVisited counts the function declarations the analyzers walked;
 	// coverage-floor tests compare deeper tiers against it.
 	FuncsVisited int
 	// Timings holds per-analyzer wall-clock milliseconds, so the CI
 	// static-tier budget is attributable per checker. Wall-clock is
 	// nondeterministic by nature; reports keep it out of the sorted
-	// findings/suppressions sections that must stay byte-identical.
+	// findings section that must stay byte-identical.
 	Timings map[string]float64
-}
-
-// Check loads the enclosing module and runs every typed analyzer.
-func Check() (*Result, error) {
-	m, err := LoadModule()
-	if err != nil {
-		return nil, err
-	}
-	return CheckModule(m), nil
 }
 
 // CheckModule runs every typed analyzer over an already-loaded module.
@@ -97,25 +95,28 @@ func CheckFixture(m *Module, file string) (*Result, error) {
 		return nil, err
 	}
 	pkgs := append(append([]*Package{}, m.Pkgs...), fp)
-	return run(m, pkgs, fp, nil), nil
+	return run(m, pkgs, fp.FileNames, nil), nil
 }
 
-// analyzerTable lists the typed-tier analyzers in execution order.
+// analyzerTable lists the typed-tier analyzers in execution order. The
+// name is the one -only accepts, the timings footer shows and every
+// finding of the analyzer carries.
 var analyzerTable = []struct {
 	name string
-	fn   func(*modCtx) ([]lint.Finding, []Suppression)
+	fn   func(*modCtx) []Finding
 }{
-	{"determinism", checkDeterminismTyped},
-	{"costconst", checkCostConst},
-	{"observerpurity", checkObserverPurityTyped},
+	{"determinism", checkDeterminism},
+	{"costliteral", checkCostLiteral},
+	{"observerpurity", checkObserverPurity},
+	{"parallelsafety", checkParallelSafety},
 }
 
 // run executes the analyzers over pkgs. When only is non-nil, findings are
-// restricted to that package's files (fixture mode); module-wide context
+// restricted to those files (fixture mode); module-wide context
 // (summaries, call graph) still spans all of pkgs. When names is non-empty,
 // only the named analyzers execute.
-func run(m *Module, pkgs []*Package, only *Package, names []string) *Result {
-	ctx := &modCtx{m: m, pkgs: pkgs, markers: CollectMarkers(m.Fset, pkgs)}
+func run(m *Module, pkgs []*Package, only []string, names []string) *Result {
+	ctx := &modCtx{m: m, pkgs: pkgs}
 	res := &Result{FuncsVisited: len(AllFuncs(pkgs)), Timings: make(map[string]float64)}
 	want := map[string]bool{}
 	for _, n := range names {
@@ -126,23 +127,19 @@ func run(m *Module, pkgs []*Package, only *Package, names []string) *Result {
 			continue
 		}
 		start := time.Now()
-		fs, sups := an.fn(ctx)
+		res.Findings = append(res.Findings, an.fn(ctx)...)
 		res.Timings[an.name] += float64(time.Since(start).Nanoseconds()) / 1e6
-		res.Findings = append(res.Findings, fs...)
-		res.Suppressions = append(res.Suppressions, sups...)
 	}
 	if only != nil {
-		res.Findings = FilterByFiles(res.Findings, only.FileNames)
-		res.Suppressions = FilterSupsByFiles(res.Suppressions, only.FileNames)
+		res.Findings = FilterByFiles(res.Findings, only)
 	}
 	SortFindings(res.Findings)
-	SortSuppressions(res.Suppressions)
 	return res
 }
 
 // SortFindings orders findings by file, line, analyzer and message, the
 // canonical report order every tier emits.
-func SortFindings(fs []lint.Finding) {
+func SortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		if fs[i].File != fs[j].File {
 			return fs[i].File < fs[j].File
@@ -157,45 +154,16 @@ func SortFindings(fs []lint.Finding) {
 	})
 }
 
-// SortSuppressions orders suppressions by file, line and analyzer.
-func SortSuppressions(sups []Suppression) {
-	sort.Slice(sups, func(i, j int) bool {
-		a, b := sups[i], sups[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Analyzer < b.Analyzer
-	})
-}
-
 // FilterByFiles keeps only findings located in the given files.
-func FilterByFiles(fs []lint.Finding, files []string) []lint.Finding {
+func FilterByFiles(fs []Finding, files []string) []Finding {
 	allowed := make(map[string]bool, len(files))
 	for _, f := range files {
 		allowed[f] = true
 	}
-	var out []lint.Finding
+	var out []Finding
 	for _, f := range fs {
 		if allowed[f.File] {
 			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// FilterSupsByFiles keeps only suppressions located in the given files.
-func FilterSupsByFiles(sups []Suppression, files []string) []Suppression {
-	allowed := make(map[string]bool, len(files))
-	for _, f := range files {
-		allowed[f] = true
-	}
-	var out []Suppression
-	for _, s := range sups {
-		if allowed[s.File] {
-			out = append(out, s)
 		}
 	}
 	return out
@@ -205,77 +173,6 @@ func FilterSupsByFiles(sups []Suppression, files []string) []Suppression {
 type modCtx struct {
 	m    *Module
 	pkgs []*Package
-	// markers indexes obligation-transferred comments by file and line.
-	markers MarkerIndex
-}
-
-// TransferMarker is the comment marker waiving a flush obligation; kept
-// here (not in the ssa tier) because marker collection is shared.
-const TransferMarker = "obligation-transferred:"
-
-// LockFreeMarker is the comment marker waiving a lockset finding: it
-// documents why an access to shared state needs no lock/atomic/ownership
-// discharge. Like TransferMarker, an unconsumed one is a stalemarker
-// finding.
-const LockFreeMarker = "lock-free-by-design:"
-
-// FabBoundMarker is the comment marker waiving a fabproof obligation: it
-// documents why a fabric bound the numeric tier cannot discharge holds
-// anyway. Like the others, an unconsumed one is a stalemarker finding.
-const FabBoundMarker = "bounded-by-design:"
-
-// MarkerIndex maps file → line → marker reason. A marker covers its own
-// line and the line below it (doc-comment style).
-type MarkerIndex map[string]map[int]string
-
-// CollectMarkers indexes every "obligation-transferred:" comment.
-func CollectMarkers(fset *token.FileSet, pkgs []*Package) MarkerIndex {
-	return CollectMarkersFor(fset, pkgs, TransferMarker)
-}
-
-// CollectMarkersFor indexes every comment starting with marker.
-func CollectMarkersFor(fset *token.FileSet, pkgs []*Package, marker string) MarkerIndex {
-	out := make(MarkerIndex)
-	for _, p := range pkgs {
-		for i, f := range p.Files {
-			rel := p.FileNames[i]
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					// Only a comment that *starts* with the marker counts;
-					// prose that merely mentions the marker string (docs,
-					// quoted examples) is not a waiver.
-					text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
-					if !strings.HasPrefix(text, marker) {
-						continue
-					}
-					reason := strings.TrimSpace(text[len(marker):])
-					if out[rel] == nil {
-						out[rel] = make(map[int]string)
-					}
-					out[rel][fset.Position(c.End()).Line] = reason
-				}
-			}
-		}
-	}
-	return out
-}
-
-// For returns the obligation-transferred reason covering line (the marker
-// may sit on the line itself or on the line above).
-func (mi MarkerIndex) For(file string, line int) (string, bool) {
-	lines := mi[file]
-	if lines == nil {
-		return "", false
-	}
-	if r, ok := lines[line]; ok {
-		return r, true
-	}
-	r, ok := lines[line-1]
-	return r, ok
-}
-
-func (ctx *modCtx) markerFor(file string, line int) (string, bool) {
-	return ctx.markers.For(file, line)
 }
 
 // --- shared typed helpers ---
@@ -441,12 +338,4 @@ func BuildImplMap(pkgs []*Package) map[*types.Func][]*types.Func {
 		}
 	}
 	return out
-}
-
-// InFixture reports whether a module-relative file path is a sanitizer
-// testdata fixture; fixtures opt into the scoped analyzers regardless of
-// directory, so firing tests can live under testdata.
-func InFixture(rel string) bool {
-	return strings.Contains(rel, "sanitizer/typedlint/testdata/") ||
-		strings.Contains(rel, "sanitizer/ssa/testdata/")
 }

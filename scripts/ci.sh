@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI gate: build, tests, race detector, repo-invariant lint, and the
-# shadow-oracle coherence sanitizer over the seed experiment suite.
+# CI gate: build, tests, race detector, the static tiers (tlbvet), and
+# the shadow-oracle coherence sanitizer over the seed experiment suite.
 # Fails on the first broken step. Mirrors `make check`.
 set -eu
 
@@ -64,9 +64,6 @@ rm -f coverage.out
 
 echo "==> go test -race ./..."
 go test -race ./...
-
-echo "==> tlbcheck -lint ./..."
-go run ./cmd/tlbcheck -lint ./...
 
 # The whole static tier — typedlint plus the ssa analyzers (flush
 # obligations, lock order, the ipistate shootdown DFA, the detflow
