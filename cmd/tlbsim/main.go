@@ -9,12 +9,14 @@
 //	tlbsim -exp table4 -csv
 //	tlbsim -exp faults -quick        # fault-injection sweep
 //	tlbsim -exp fig6 -faults light   # any experiment under a fault schedule
+//	tlbsim -exp fig10 -quick -cpuprofile fig10.pprof  # host CPU profile
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"shootdown/internal/experiments"
@@ -33,6 +35,7 @@ func main() {
 		faults   = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides")
 		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
 		topo     = flag.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
+		cpuprof  = flag.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) of the run to this file; reports are unchanged")
 	)
 	flag.Parse()
 	sched.SetWorkers(*parallel)
@@ -41,6 +44,24 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
 		os.Exit(2)
+	}
+
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tlbsim: -cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "tlbsim: -cpuprofile: %v\n", err)
+				os.Exit(1)
+			}
+		}()
 	}
 
 	if *list || *exp == "" {

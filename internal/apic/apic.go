@@ -95,8 +95,11 @@ func (c *Controller) Take() (IRQ, bool) {
 	if c.masked || len(c.pending) == 0 {
 		return IRQ{}, false
 	}
+	// Shift in place rather than reslicing past the head, so the array's
+	// capacity survives and later injects do not regrow it.
 	irq := c.pending[0]
-	c.pending = c.pending[1:]
+	n := copy(c.pending, c.pending[1:])
+	c.pending = c.pending[:n]
 	return irq, true
 }
 
@@ -135,6 +138,17 @@ type Bus struct {
 	ctrls []*Controller
 	fault *fault.Plane
 	stats Stats
+	// free holds delivered in-flight IPIs for reuse (see deliverAfter).
+	free []*inflight
+}
+
+// inflight is one IPI on the wire. Its fire func is bound once, when the
+// record is first made, so a recycled record schedules its delivery
+// without allocating a closure per IPI.
+type inflight struct {
+	to   mach.CPU
+	irq  IRQ
+	fire func()
 }
 
 // SetFaultPlane attaches the fault plane; nil detaches it. With no plane
@@ -163,24 +177,25 @@ func clusterOf(cpu mach.CPU) int { return int(cpu) / ClusterSize }
 // SendIPI sends vector from the initiator (running as p) to every CPU in
 // targets. The call charges the initiator one ICR write per x2APIC cluster
 // touched and returns once all ICR writes retire; deliveries land
-// asynchronously after per-target wire latency.
+// asynchronously after per-target wire latency. targets is read while the
+// ICR writes retire, so the caller must not change it during the call.
 func (b *Bus) SendIPI(p *sim.Proc, from mach.CPU, targets mach.CPUMask, vec Vector) {
-	cpus := targets.CPUs()
-	if len(cpus) == 0 {
+	n := targets.Count()
+	if n == 0 {
 		return
 	}
-	if len(cpus) > 1 {
+	if n > 1 {
 		b.stats.MulticastSends++
 	}
 	lastCluster := -1
-	for _, t := range cpus {
+	targets.ForEach(func(t mach.CPU) {
 		if cl := clusterOf(t); cl != lastCluster {
 			p.Delay(b.cost.IPIWriteICR)
 			b.stats.ICRWrites++
 			lastCluster = cl
 		}
 		b.deliverAfter(from, t, vec)
-	}
+	})
 }
 
 // SendNMI sends a non-maskable interrupt to one CPU.
@@ -207,9 +222,20 @@ func (b *Bus) deliverAfter(from, to mach.CPU, vec Vector) {
 			lat += d
 		}
 	}
-	sent := b.eng.Now()
-	b.eng.After(lat, func() {
-		b.stats.IPIsDelivered++
-		b.ctrls[to].inject(IRQ{Vector: vec, From: from, SentAt: sent})
-	})
+	var w *inflight
+	if n := len(b.free); n > 0 {
+		w = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else {
+		w = &inflight{}
+		w.fire = func() {
+			b.stats.IPIsDelivered++
+			to, irq := w.to, w.irq
+			b.free = append(b.free, w)
+			b.ctrls[to].inject(irq)
+		}
+	}
+	w.to = to
+	w.irq = IRQ{Vector: vec, From: from, SentAt: b.eng.Now()}
+	b.eng.After(lat, w.fire)
 }

@@ -143,8 +143,12 @@ func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
 			return d.cost.L1Hit
 		}
 		dist := d.topo.DistanceBetween(cpu, l.owner)
-		// Owner downgrades to Shared; reader joins.
-		l.sharers = mach.MaskOf(l.owner, cpu)
+		// Owner downgrades to Shared; reader joins. The line's own sharer
+		// storage is reused, so a line that has been wide once never
+		// allocates again.
+		l.sharers.Reset()
+		l.sharers.Set(l.owner)
+		l.sharers.Set(cpu)
 		l.state = Shared
 		d.recordTransfer(l, dist)
 		return d.cost.TransferCost(dist)
@@ -174,15 +178,15 @@ func (d *Directory) Write(cpu mach.CPU, l *Line) uint64 {
 			cycles = d.cost.L1Hit
 		} else {
 			// Invalidate every other copy; the farthest holder dominates
-			// the RFO latency.
-			dist := d.farthestHolder(cpu, l.sharers.Without(cpu))
+			// the RFO latency. farthestHolder ignores cpu's own copy.
+			dist := d.farthestHolder(cpu, l.sharers)
 			d.recordTransfer(l, dist)
 			cycles = d.cost.TransferCost(dist)
 		}
 	}
 	l.state = Modified
 	l.owner = cpu
-	l.sharers = mach.CPUMask{}
+	l.sharers.Reset()
 	return cycles
 }
 
@@ -197,25 +201,41 @@ func (d *Directory) recordTransfer(l *Line, dist mach.Distance) {
 	d.stats.TransfersByDist[dist]++
 }
 
-func (d *Directory) nearestHolder(cpu mach.CPU, holders mach.CPUMask) mach.Distance {
-	best := mach.DistCross
-	for _, h := range holders.CPUs() {
-		if dd := d.topo.DistanceBetween(cpu, h); dd < best {
-			best = dd
-		}
-	}
-	return best
-}
+// The holder-distance queries below are range tests on the sharer
+// bitmap, never a walk over its members: CPU ids are thread-minor within
+// a core and core-major within a socket (mach.Topology), so cpu's SMT
+// siblings and its socket are each one contiguous id range. Their cost is
+// the same for two sharers as for a thousand.
 
-func (d *Directory) farthestHolder(cpu mach.CPU, holders mach.CPUMask) mach.Distance {
-	if holders.Empty() {
+// nearestHolder returns the distance from cpu to the closest CPU in
+// holders, the one a read miss is served from: DistCross for an empty set.
+func (d *Directory) nearestHolder(cpu mach.CPU, holders mach.CPUMask) mach.Distance {
+	if holders.Has(cpu) {
 		return mach.DistSelf
 	}
-	worst := mach.DistSelf
-	for _, h := range holders.CPUs() {
-		if dd := d.topo.DistanceBetween(cpu, h); dd > worst {
-			worst = dd
-		}
+	if lo, hi := d.topo.CoreRange(cpu); holders.AnyIn(lo, hi) {
+		return mach.DistSMT
 	}
-	return worst
+	if lo, hi := d.topo.SocketRange(cpu); holders.AnyIn(lo, hi) {
+		return mach.DistSocket
+	}
+	return mach.DistCross
+}
+
+// farthestHolder returns the distance from cpu to the farthest CPU in
+// holders other than cpu itself, the copy that bounds a write's
+// invalidation: DistSelf when no other CPU holds the line.
+func (d *Directory) farthestHolder(cpu mach.CPU, holders mach.CPUMask) mach.Distance {
+	slo, shi := d.topo.SocketRange(cpu)
+	if holders.AnyIn(0, slo) || holders.AnyIn(shi, mach.MaxCPUs) {
+		return mach.DistCross
+	}
+	clo, chi := d.topo.CoreRange(cpu)
+	if holders.AnyIn(slo, clo) || holders.AnyIn(chi, shi) {
+		return mach.DistSocket
+	}
+	if holders.AnyIn(clo, cpu) || holders.AnyIn(cpu+1, chi) {
+		return mach.DistSMT
+	}
+	return mach.DistSelf
 }

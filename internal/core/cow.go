@@ -38,7 +38,9 @@ func (f *Flusher) CoWFixup(ctx *kernel.Ctx, as *mm.AddressSpace, res mm.FaultRes
 	// ITLB entries); a stale local generation is handled inside cowLocal.
 	useTrick := f.Cfg.AvoidCoWFlush && !res.Executable
 
-	k.Trace.Record(c.ID, trace.CoWEvent, "va %#x trick=%v exec=%v", res.VA, useTrick, res.Executable)
+	if k.Trace != nil {
+		k.Trace.Record(c.ID, trace.CoWEvent, "va %#x trick=%v exec=%v", res.VA, useTrick, res.Executable)
+	}
 	if targets.Empty() {
 		f.cowLocal(ctx, as, info, useTrick)
 		f.shootEnd(c.ID, info)

@@ -176,9 +176,9 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 		NewGen: newGen, FreedTables: fr.FreedTables,
 		Full: spanPages > uint64(k.Cfg.FullFlushThreshold),
 	}
-
-	k.Trace.Record(c.ID, trace.ShootBegin, "mm %d gen %d range [%#x,%#x) full=%v freed=%v",
-		as.ID, newGen, info.Start, info.End, info.Full, info.FreedTables)
+	if k.Trace != nil {
+		k.Trace.Record(c.ID, trace.ShootBegin, "mm %d gen %d range [%#x,%#x) full=%v freed=%v", as.ID, newGen, info.Start, info.End, info.Full, info.FreedTables)
+	}
 	f.shootBegin(c.ID, info)
 	targets := f.pickTargets(ctx, as, info)
 
@@ -253,7 +253,9 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 	if f.Cfg.ConcurrentFlush {
 		// §3.1: IPIs first; the local flush overlaps their delivery.
 		reqs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		k.Trace.Record(c.ID, trace.IPISent, "targets %v (early-ack=%v)", targets, earlyAck)
+		if k.Trace != nil {
+			k.Trace.Record(c.ID, trace.IPISent, "targets %v (early-ack=%v)", targets, earlyAck)
+		}
 		f.localFlush(ctx, info, reqs)
 		k.Trace.Record(c.ID, trace.LocalFlush, "done (overlapped with IPIs)")
 		c.WaitRequests(p, reqs)
@@ -262,7 +264,9 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 		f.localFlush(ctx, info, nil)
 		k.Trace.Record(c.ID, trace.LocalFlush, "done (before IPIs)")
 		reqs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		k.Trace.Record(c.ID, trace.IPISent, "targets %v (early-ack=%v)", targets, earlyAck)
+		if k.Trace != nil {
+			k.Trace.Record(c.ID, trace.IPISent, "targets %v (early-ack=%v)", targets, earlyAck)
+		}
 		c.WaitRequests(p, reqs)
 	}
 	k.Trace.Record(c.ID, trace.ShootEnd, "all acks received")
@@ -291,7 +295,9 @@ func (f *Flusher) asyncFlush(ctx *kernel.Ctx, info *FlushInfo, targets mach.CPUM
 		k.Trace.Record(from, trace.ShootEnd, "async batch acked")
 		f.shootEnd(from, info)
 	})
-	k.Trace.Record(from, trace.IPISent, "async post to %v", targets)
+	if k.Trace != nil {
+		k.Trace.Record(from, trace.IPISent, "async post to %v", targets)
+	}
 	f.localFlush(ctx, info, nil)
 	k.Trace.Record(from, trace.LocalFlush, "done (fabric in flight)")
 }
@@ -374,7 +380,9 @@ func (f *Flusher) applyInval(p *sim.Proc, rc *kernel.CPU, inv *smp.Inval) {
 		f.stats.RemoteFull++
 	}
 	p.Delay(k.Dir.Write(rc.ID, k.SMP.GenLine(rc.ID)))
-	k.Trace.Record(rc.ID, trace.RemoteFlush, "fabric mm %d through gen %d", as.ID, inv.GenHi)
+	if k.Trace != nil {
+		k.Trace.Record(rc.ID, trace.RemoteFlush, "fabric mm %d through gen %d", as.ID, inv.GenHi)
+	}
 }
 
 // strideSize maps an Inval's stride in bytes back to the page size.
@@ -411,8 +419,10 @@ func (f *Flusher) readPTFree(info *FlushInfo) {
 func (f *Flusher) pickTargets(ctx *kernel.Ctx, as *mm.AddressSpace, info *FlushInfo) mach.CPUMask {
 	c, p, k := ctx.CPU, ctx.P, f.K
 	p.Delay(k.Dir.Read(c.ID, k.MMCpumaskLine(as)))
-	var targets mach.CPUMask
-	for _, cpu := range as.ActiveCPUs().CPUs() {
+	targets := mach.NewCPUMask(k.Topo.NumCPUs())
+	batched := batchedWork{src: info}
+	active := as.ActiveCPUs()
+	for cpu := active.Next(0); cpu >= 0; cpu = active.Next(cpu + 1) {
 		if cpu == c.ID {
 			continue
 		}
@@ -421,20 +431,26 @@ func (f *Flusher) pickTargets(ctx *kernel.Ctx, as *mm.AddressSpace, info *FlushI
 		p.Delay(k.Dir.Read(c.ID, k.SMP.LazyLine(cpu)))
 		if rc.Lazy() {
 			f.stats.LazySkips++
-			k.Trace.Record(c.ID, trace.TargetSkipped, "cpu%d lazy", cpu)
+			if k.Trace != nil {
+				k.Trace.Record(c.ID, trace.TargetSkipped, "cpu%d lazy", cpu)
+			}
 			continue
 		}
 		if f.Cfg.UserspaceBatching {
 			p.Delay(k.Dir.Read(c.ID, rc.BatchedLine()))
 			if rc.InBatchedSyscall() {
-				f.queueBatched(rc, info)
+				f.queueBatched(rc, &batched)
 				f.stats.BatchedSkips++
-				k.Trace.Record(c.ID, trace.TargetSkipped, "cpu%d in batched syscall", cpu)
+				if k.Trace != nil {
+					k.Trace.Record(c.ID, trace.TargetSkipped, "cpu%d in batched syscall", cpu)
+				}
 				continue
 			}
 		}
 		targets.Set(cpu)
-		k.Trace.Record(c.ID, trace.TargetPicked, "cpu%d", cpu)
+		if k.Trace != nil {
+			k.Trace.Record(c.ID, trace.TargetPicked, "cpu%d", cpu)
+		}
 	}
 	return targets
 }
@@ -455,7 +471,9 @@ func (f *Flusher) remoteFlushFn(p *sim.Proc, cpu mach.CPU, payload any) {
 	// about-to-be-freed page-table pages.
 	f.readPTFree(info)
 	f.flushOnCPU(p, rc, info, false)
-	f.K.Trace.Record(cpu, trace.RemoteFlush, "mm %d through gen %d", info.AS.ID, info.NewGen)
+	if f.K.Trace != nil {
+		f.K.Trace.Record(cpu, trace.RemoteFlush, "mm %d through gen %d", info.AS.ID, info.NewGen)
+	}
 }
 
 // localFlush performs the initiator-side flush. reqs is non-nil only under
@@ -590,22 +608,45 @@ func (f *Flusher) flushUserWhileWaiting(ctx *kernel.Ctx, info *FlushInfo, reqs [
 	}
 }
 
-// queueBatched defers info's flush to rc's batched-section exit instead of
-// sending an IPI (§4.2). Beyond 4 queued entries the deferral degrades to
-// a full flush.
-func (f *Flusher) queueBatched(rc *kernel.CPU, info *FlushInfo) {
-	cpu := rc.ID
-	f.batchedPending[cpu]++
-	work := *info
-	if f.batchedPending[cpu] > 4 {
-		f.stats.BatchedOverflows++
-		work.Full = true
+// batchedWork is the deferred flush one shootdown hands its batched-mode
+// targets. They share two snapshots of the FlushInfo, each made on first
+// use: the precise copy, and the full-flush copy that a target past its
+// queue limit degrades to. The snapshots decouple the deferred work from
+// later changes to the live descriptor (DegradeToFull), and sharing them
+// keeps the copy count at most two per shootdown, not one per target.
+type batchedWork struct {
+	src           *FlushInfo
+	precise, full *FlushInfo
+}
+
+func (w *batchedWork) info(full bool) *FlushInfo {
+	snap := &w.precise
+	if full {
+		snap = &w.full
 	}
+	if *snap == nil {
+		c := *w.src
+		c.Full = c.Full || full
+		*snap = &c
+	}
+	return *snap
+}
+
+// queueBatched defers the shootdown's flush to rc's batched-section exit
+// instead of sending an IPI (§4.2). Beyond 4 queued entries the deferral
+// degrades to a full flush.
+func (f *Flusher) queueBatched(rc *kernel.CPU, w *batchedWork) {
+	f.batchedPending[rc.ID]++
+	overflow := f.batchedPending[rc.ID] > 4
+	if overflow {
+		f.stats.BatchedOverflows++
+	}
+	work := w.info(overflow)
 	rc.QueueBatchedFlush(func(p *sim.Proc) {
-		f.batchedPending[cpu]--
+		f.batchedPending[rc.ID]--
 		if rc.CurrentMM() != work.AS {
 			return
 		}
-		f.flushOnCPU(p, rc, &work, false)
+		f.flushOnCPU(p, rc, work, false)
 	})
 }

@@ -54,6 +54,7 @@ type CPU struct {
 	batched        bool
 	batchedLine    *cache.Line
 	pendingBatched []func(p *sim.Proc)
+	spareBatched   []func(p *sim.Proc)
 
 	// lazyWork holds LATR-style deferred remote flushes (core.Config
 	// LazyRemote): executed at the CPU's next kernel entry, with no IPI
@@ -351,7 +352,9 @@ func (c *CPU) ServiceIRQs(p *sim.Proc) {
 		} else {
 			p.Delay(c.K.Cost.IRQEntryKernel)
 		}
-		c.K.Trace.Record(c.ID, trace.IRQEnter, "vector %#x from cpu%d (user=%v)", irq.Vector, irq.From, fromUser)
+		if c.K.Trace != nil {
+			c.K.Trace.Record(c.ID, trace.IRQEnter, "vector %#x from cpu%d (user=%v)", irq.Vector, irq.From, fromUser)
+		}
 		// Any kernel entry is a LATR sweep point, and — under the async
 		// tier — a whole-batch fabric drain point: the ring is popped and
 		// applied before the vector dispatch below even looks at the CSQ.
@@ -412,9 +415,9 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 	if len(reqs) == 0 {
 		return
 	}
-	cancels := make([]func(), 0, len(reqs))
+	// Each ack broadcasts this CPU's wake cond (Request.SetWaker).
 	for _, r := range reqs {
-		cancels = append(cancels, r.AddDoneHook(func() { c.wake.Broadcast() }))
+		r.SetWaker(c.wake)
 	}
 	// Recovery path (armed only when a fault plane is attached and not
 	// deliberately broken): bound each sleep by a timeout; on expiry with
@@ -459,8 +462,8 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 	if armed {
 		c.K.SMP.NoteAckStall(uint64(p.Now() - waitStart))
 	}
-	for i := len(cancels) - 1; i >= 0; i-- {
-		cancels[i]()
+	for _, r := range reqs {
+		r.SetWaker(nil)
 	}
 	// Observing the acks is the initiator's acquire side of the IPI edge:
 	// everything each responder did before acking happens-before here.
@@ -482,9 +485,8 @@ func (c *CPU) WaitFirstRequest(p *sim.Proc, reqs []*smp.Request) {
 		c.observeDone(reqs)
 		return
 	}
-	cancels := make([]func(), 0, len(reqs))
 	for _, r := range reqs {
-		cancels = append(cancels, r.AddDoneHook(func() { c.wake.Broadcast() }))
+		r.SetWaker(c.wake)
 	}
 	for {
 		c.ServiceIRQs(p)
@@ -498,8 +500,8 @@ func (c *CPU) WaitFirstRequest(p *sim.Proc, reqs []*smp.Request) {
 		}
 		c.wake.Wait(p)
 	}
-	for i := len(cancels) - 1; i >= 0; i-- {
-		cancels[i]()
+	for _, r := range reqs {
+		r.SetWaker(nil)
 	}
 	c.observeDone(reqs)
 }

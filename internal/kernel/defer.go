@@ -132,7 +132,9 @@ func (c *CPU) runDeferredUserFlushes(p *sim.Proc) {
 	c.TLB.InvalidateWalkCache()
 	// Spectre-v1 guard on the flush loop (§3.4).
 	p.Delay(c.K.Cost.Lfence)
-	c.K.Trace.Record(c.ID, trace.DeferredFlush, "INVLPG range [%#x,%#x)", c.duStart, c.duEnd)
+	if c.K.Trace != nil {
+		c.K.Trace.Record(c.ID, trace.DeferredFlush, "INVLPG range [%#x,%#x)", c.duStart, c.duEnd)
+	}
 	c.duValid = false
 }
 
@@ -166,10 +168,13 @@ func (c *CPU) ExitBatchedSection(p *sim.Proc) {
 	for len(c.pendingBatched) > 0 {
 		c.K.Race.AtomicRMW(c.batchqVar)
 		work := c.pendingBatched
-		c.pendingBatched = nil
+		c.pendingBatched, c.spareBatched = c.spareBatched, nil
 		for _, fn := range work {
 			fn(p)
 		}
+		// The drained array becomes the spare for the next section.
+		clear(work)
+		c.spareBatched = work[:0]
 	}
 	c.K.Race.AtomicStore(c.batchedVar)
 	c.batched = false

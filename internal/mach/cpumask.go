@@ -186,6 +186,44 @@ func (m CPUMask) AndNot(o CPUMask) CPUMask {
 	return out
 }
 
+// Reset empties the mask in place. It keeps the word storage, so later
+// Sets below the old high-water mark do not allocate; like Set and Clear
+// it must only be applied to a mask the caller owns.
+func (m *CPUMask) Reset() {
+	for s := m.summary; s != 0; s &^= s & -s {
+		m.w[bits.TrailingZeros64(s)] = 0
+	}
+	m.summary = 0
+}
+
+// AnyIn reports whether the mask holds a CPU in [lo, hi). The two edge
+// words are tested under a bit mask and the words between them through
+// the summary, so the cost is O(1) whatever the width of the range or the
+// number of members. It panics unless 0 <= lo <= hi <= MaxCPUs.
+func (m CPUMask) AnyIn(lo, hi CPU) bool {
+	if lo < 0 || lo > hi || int(hi) > MaxCPUs {
+		panic(fmt.Sprintf("mach: CPU range [%d,%d) outside [0,%d]", int(lo), int(hi), MaxCPUs))
+	}
+	if n := CPU(len(m.w) * 64); hi > n {
+		hi = n
+	}
+	if lo >= hi {
+		return false
+	}
+	first, last := int(lo)/64, int(hi-1)/64
+	loMask := ^uint64(0) << (uint(lo) % 64)
+	hiMask := ^uint64(0) >> (63 - uint(hi-1)%64)
+	if first == last {
+		return m.w[first]&loMask&hiMask != 0
+	}
+	if m.w[first]&loMask != 0 || m.w[last]&hiMask != 0 {
+		return true
+	}
+	// Summary bits first+1 .. last-1: the words strictly between the edges.
+	between := (uint64(1)<<uint(last) - 1) &^ (uint64(1)<<uint(first+1) - 1)
+	return m.summary&between != 0
+}
+
 // Without returns a copy of m with cpu removed; m is unchanged.
 func (m CPUMask) Without(cpu CPU) CPUMask {
 	out := m.Clone()
@@ -203,6 +241,31 @@ func (m CPUMask) ForEach(fn func(CPU)) {
 			fn(CPU(wi*64 + bits.TrailingZeros64(w)))
 		}
 	}
+}
+
+// Next returns the lowest member of the mask at or above cpu, or -1 when
+// there is none. It is the cpumask_next idiom, for loops that must
+// neither allocate nor hand their body to a closure:
+//
+//	for c := m.Next(0); c >= 0; c = m.Next(c + 1) { ... }
+func (m CPUMask) Next(cpu CPU) CPU {
+	if cpu < 0 {
+		cpu = 0
+	}
+	wi := int(cpu) / 64
+	if wi >= len(m.w) {
+		return -1
+	}
+	if w := m.w[wi] & (^uint64(0) << (uint(cpu) % 64)); w != 0 {
+		return CPU(wi*64 + bits.TrailingZeros64(w))
+	}
+	// Shifting by 64 (wi == 63) yields 0 in Go, so this needs no guard.
+	s := m.summary & (^uint64(0) << uint(wi+1))
+	if s == 0 {
+		return -1
+	}
+	wi = bits.TrailingZeros64(s)
+	return CPU(wi*64 + bits.TrailingZeros64(m.w[wi]))
 }
 
 // CPUs returns the members of the mask in ascending order.

@@ -47,6 +47,17 @@ func (m denseMask) count() int {
 	}
 	return n
 }
+
+// anyIn is the member-by-member reference for CPUMask.AnyIn.
+func (m denseMask) anyIn(lo, hi CPU) bool {
+	for c := lo; c < hi && int(c) < 64*len(m.w); c++ {
+		if m.has(c) {
+			return true
+		}
+	}
+	return false
+}
+
 func (m denseMask) cpus() []CPU {
 	cpus := make([]CPU, 0, m.count())
 	for wi, w := range m.w {
@@ -104,6 +115,9 @@ func TestCPUMaskEquivalenceRandomOps(t *testing.T) {
 		capacity := capacity
 		t.Run(itoa(capacity), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(0xC0FFEE + capacity)))
+			// Range queries draw from their own stream so the op sequence
+			// above stays the one this test has always replayed.
+			rangeRng := rand.New(rand.NewSource(int64(0xA11 + capacity)))
 			m := NewCPUMask(capacity)
 			var ref denseMask
 			other := MaskOf()
@@ -130,6 +144,10 @@ func TestCPUMaskEquivalenceRandomOps(t *testing.T) {
 					got, want := m.AndNot(other), ref.andNot(otherRef)
 					sameMembers(t, "AndNot", got, want, capacity)
 				}
+				lo, hi := randomRange(rangeRng, capacity)
+				if got, want := m.AnyIn(lo, hi), ref.anyIn(lo, hi); got != want {
+					t.Fatalf("AnyIn(%d, %d) = %v, reference %v (mask %v)", lo, hi, got, want, m)
+				}
 				if step%97 == 0 {
 					sameMembers(t, "step", m, ref, capacity)
 					w := m.Without(cpu)
@@ -143,6 +161,27 @@ func TestCPUMaskEquivalenceRandomOps(t *testing.T) {
 			sameMembers(t, "final", m, ref, capacity)
 		})
 	}
+}
+
+// randomRange draws a half-open CPU range for AnyIn: bounds anywhere in
+// [0, capacity+64], on multiples of 64, or at MaxCPUs, and sometimes
+// empty.
+func randomRange(rng *rand.Rand, capacity int) (lo, hi CPU) {
+	bound := func() CPU {
+		switch rng.Intn(4) {
+		case 0:
+			return CPU(64 * rng.Intn(capacity/64+2))
+		case 1:
+			return MaxCPUs
+		default:
+			return CPU(rng.Intn(capacity + 65))
+		}
+	}
+	lo, hi = bound(), bound()
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
 }
 
 func itoa(n int) string {
@@ -286,5 +325,94 @@ func TestNewCPUMaskPreallocates(t *testing.T) {
 		if !alias.Has(CPU(cpu)) {
 			t.Fatalf("Set below capacity reallocated words (cpu %d missing in alias)", cpu)
 		}
+	}
+}
+
+// TestCPUMaskAnyInEdges pins the range test at word edges: single-bit
+// ranges on either side of a boundary, ranges past the stored words, and
+// the whole id space.
+func TestCPUMaskAnyInEdges(t *testing.T) {
+	m := MaskOf(63, 64, 1000)
+	cases := []struct {
+		lo, hi CPU
+		want   bool
+	}{
+		{0, 0, false}, {0, 63, false}, {63, 64, true}, {64, 65, true},
+		{65, 128, false}, {65, 1000, false}, {65, 1001, true},
+		{1001, MaxCPUs, false}, {0, MaxCPUs, true}, {MaxCPUs, MaxCPUs, false},
+		{128, 960, false}, {960, 1024, true},
+	}
+	for _, c := range cases {
+		if got := m.AnyIn(c.lo, c.hi); got != c.want {
+			t.Errorf("AnyIn(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+	if (CPUMask{}).AnyIn(0, MaxCPUs) {
+		t.Error("empty mask reports a member")
+	}
+	for _, bad := range [][2]CPU{{-1, 4}, {5, 4}, {0, MaxCPUs + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AnyIn(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			m.AnyIn(bad[0], bad[1])
+		}()
+	}
+}
+
+// TestCPUMaskNextWalksMembers checks the cpumask_next loop against the
+// member list, across word boundaries and from arbitrary start points.
+func TestCPUMaskNextWalksMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		var m CPUMask
+		for i := rng.Intn(40); i > 0; i-- {
+			m.Set(CPU(rng.Intn(MaxCPUs)))
+		}
+		var walked []CPU
+		for c := m.Next(0); c >= 0; c = m.Next(c + 1) {
+			walked = append(walked, c)
+		}
+		want := m.CPUs()
+		if len(walked) != len(want) {
+			t.Fatalf("Next walked %v, members %v", walked, want)
+		}
+		for i := range want {
+			if walked[i] != want[i] {
+				t.Fatalf("Next walked %v, members %v", walked, want)
+			}
+		}
+		from := CPU(rng.Intn(MaxCPUs + 1))
+		next := CPU(-1)
+		for _, c := range want {
+			if c >= from {
+				next = c
+				break
+			}
+		}
+		if got := m.Next(from); got != next {
+			t.Fatalf("Next(%d) = %d, want %d (mask %v)", from, got, next, m)
+		}
+	}
+}
+
+// TestCPUMaskResetKeepsStorage checks that Reset empties the mask and that
+// refilling it below its old high-water mark allocates nothing.
+func TestCPUMaskResetKeepsStorage(t *testing.T) {
+	m := MaskOf(3, 200, 511)
+	m.Reset()
+	if !m.Empty() || m.Count() != 0 || m.Has(200) || m.AnyIn(0, MaxCPUs) {
+		t.Fatalf("Reset left members: %v", m)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Reset()
+		for c := CPU(0); c < 512; c += 7 {
+			m.Set(c)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refill after Reset allocated %v times per run", allocs)
 	}
 }

@@ -90,6 +90,23 @@ func (t Topology) CoreOf(cpu CPU) int { return int(cpu) / t.ThreadsPerCore }
 // ThreadOf returns the SMT thread index of cpu within its physical core.
 func (t Topology) ThreadOf(cpu CPU) int { return int(cpu) % t.ThreadsPerCore }
 
+// CoreRange returns the half-open id range [lo, hi) of the logical CPUs
+// on cpu's physical core. Ids are thread-minor within a core, so the core's
+// threads are contiguous.
+func (t Topology) CoreRange(cpu CPU) (lo, hi CPU) {
+	lo = CPU(t.CoreOf(cpu) * t.ThreadsPerCore)
+	return lo, lo + CPU(t.ThreadsPerCore)
+}
+
+// SocketRange returns the half-open id range [lo, hi) of the logical CPUs
+// on cpu's socket. Ids are core-major within a socket, so the socket's
+// CPUs are contiguous and contain every CoreRange of its cores.
+func (t Topology) SocketRange(cpu CPU) (lo, hi CPU) {
+	per := t.CoresPerSocket * t.ThreadsPerCore
+	lo = CPU(t.SocketOf(cpu) * per)
+	return lo, lo + CPU(per)
+}
+
 // SameCore reports whether a and b are SMT siblings on one physical core.
 func (t Topology) SameCore(a, b CPU) bool { return t.CoreOf(a) == t.CoreOf(b) }
 

@@ -222,3 +222,32 @@ func TestResponderForPanics(t *testing.T) {
 	assertPanics("same-core without SMT", func() { topo.ResponderFor(0, PlaceSameCore) })
 	assertPanics("cross-socket with 1 socket", func() { topo.ResponderFor(0, PlaceCrossSocket) })
 }
+
+// TestCoreAndSocketRanges checks the range accessors against CoreOf and
+// SocketOf: a CPU lies in a range exactly when it shares the core (or
+// socket), which is the numbering invariant range-query holder distance
+// in internal/cache relies on.
+func TestCoreAndSocketRanges(t *testing.T) {
+	for _, spec := range []string{"56", "512", "1024", "2x4x1", "3x5x4"} {
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := CPU(topo.NumCPUs())
+		for cpu := CPU(0); cpu < n; cpu += 3 {
+			clo, chi := topo.CoreRange(cpu)
+			slo, shi := topo.SocketRange(cpu)
+			if slo > clo || chi > shi {
+				t.Fatalf("%s cpu %d: core [%d,%d) outside socket [%d,%d)", spec, cpu, clo, chi, slo, shi)
+			}
+			for o := CPU(0); o < n; o++ {
+				if in := o >= clo && o < chi; in != topo.SameCore(cpu, o) {
+					t.Fatalf("%s: cpu %d in core range of %d = %v, SameCore %v", spec, o, cpu, in, !in)
+				}
+				if in := o >= slo && o < shi; in != topo.SameSocket(cpu, o) {
+					t.Fatalf("%s: cpu %d in socket range of %d = %v, SameSocket %v", spec, o, cpu, in, !in)
+				}
+			}
+		}
+	}
+}

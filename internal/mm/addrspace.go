@@ -277,7 +277,7 @@ func (as *AddressSpace) zapRange(start, end uint64) (pages int, freedTables bool
 	as.zapLeaves = leaves
 	for _, l := range leaves {
 		owned := as.ownsFrame(l.va, l.frame)
-		pte, size, _ := as.PT.Lookup(l.va)
+		pte, size, _ := as.PT.Probe(l.va)
 		freed, err := as.PT.Unmap(l.va)
 		if err != nil {
 			panic(fmt.Sprintf("mm: zap of visited leaf failed: %v", err))

@@ -105,8 +105,8 @@ func (as *AddressSpace) HandleFault(va uint64, access Access) (FaultResult, erro
 	}
 
 	page := va &^ (pagetable.PageSize4K - 1)
-	pte, size, err := as.PT.Lookup(page)
-	if err != nil {
+	pte, size, mapped := as.PT.Probe(page)
+	if !mapped {
 		if v.HugePages {
 			return as.populateHuge(v, va, access)
 		}
@@ -238,8 +238,8 @@ func (as *AddressSpace) FilePageVAs(file *File, idx uint64) []uint64 {
 // WriteProtectPage clears Write+Dirty on a present PTE (writeback path).
 // It reports whether the PTE changed (and thus needs flushing).
 func (as *AddressSpace) WriteProtectPage(va uint64) bool {
-	pte, _, err := as.PT.Lookup(va)
-	if err != nil || !pte.Flags.Has(pagetable.Write) {
+	pte, _, mapped := as.PT.Probe(va)
+	if !mapped || !pte.Flags.Has(pagetable.Write) {
 		return false
 	}
 	must(as.PT.ClearFlags(va, pagetable.Write|pagetable.Dirty))

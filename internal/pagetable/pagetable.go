@@ -332,25 +332,35 @@ func (t *Table) Walk(va uint64) (Translation, error) {
 	return Translation{}, notMappedError(va)
 }
 
-// leaf returns the node and index of the present leaf covering va.
-func (t *Table) leaf(va uint64) (*node, int, Size, error) {
-	n := t.root
+// findLeaf returns the node and index of the present leaf covering va,
+// or ok == false when no present leaf covers it.
+func (t *Table) findLeaf(va uint64) (n *node, idx int, size Size, ok bool) {
+	n = t.root
 	for level := 3; level >= 0; level-- {
-		idx := levelIndex(va, level)
+		idx = levelIndex(va, level)
 		pte := n.ptes[idx]
 		if pte.Flags.Has(Present) {
-			size := Size4K
+			size = Size4K
 			if pte.Flags.Has(Huge) {
 				size = Size2M
 			}
-			return n, idx, size, nil
+			return n, idx, size, true
 		}
 		if n.children[idx] == nil {
-			return nil, 0, 0, notMappedError(va)
+			return nil, 0, 0, false
 		}
 		n = n.children[idx]
 	}
-	return nil, 0, 0, notMappedError(va)
+	return nil, 0, 0, false
+}
+
+// leaf is findLeaf for callers that treat a missing leaf as an error.
+func (t *Table) leaf(va uint64) (*node, int, Size, error) {
+	n, idx, size, ok := t.findLeaf(va)
+	if !ok {
+		return nil, 0, 0, notMappedError(va)
+	}
+	return n, idx, size, nil
 }
 
 // SetFlags ors extra flag bits into the leaf PTE covering va.
@@ -395,14 +405,26 @@ func (t *Table) Remap(va, frame uint64, flags Flags) error {
 	return nil
 }
 
-// Lookup returns a copy of the leaf PTE covering va and its size.
-func (t *Table) Lookup(va uint64) (PTE, Size, error) {
+// Probe returns a copy of the leaf PTE covering va and its size, with
+// found == false when va is not mapped. Page faults and zaps meet unmapped
+// addresses as a normal outcome, so unlike Lookup this builds no error.
+func (t *Table) Probe(va uint64) (pte PTE, size Size, found bool) {
 	t.raceLoad()
-	n, idx, size, err := t.leaf(va)
-	if err != nil {
-		return PTE{}, 0, err
+	n, idx, size, ok := t.findLeaf(va)
+	if !ok {
+		return PTE{}, 0, false
 	}
-	return n.ptes[idx], size, nil
+	return n.ptes[idx], size, true
+}
+
+// Lookup returns a copy of the leaf PTE covering va and its size, or an
+// error wrapping ErrNotMapped when va is not mapped.
+func (t *Table) Lookup(va uint64) (PTE, Size, error) {
+	pte, size, ok := t.Probe(va)
+	if !ok {
+		return PTE{}, 0, notMappedError(va)
+	}
+	return pte, size, nil
 }
 
 // Unmap removes the leaf mapping at va and returns whether any page-table

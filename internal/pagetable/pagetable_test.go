@@ -348,3 +348,26 @@ func TestFreedTablesAreRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeMatchesLookup checks that Probe and Lookup agree on mapped 4K
+// and 2M leaves and on holes, and that a Probe miss, unlike Lookup's
+// error, allocates nothing.
+func TestProbeMatchesLookup(t *testing.T) {
+	pt := New()
+	if err := pt.Map(0x1000, 42, Size4K, Write|User); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map(0x40000000, 512, Size2M, User); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []uint64{0x1000, 0x40000000, 0x40001000, 0x2000, 0x7f0000123000} {
+		pte, size, found := pt.Probe(va)
+		lpte, lsize, err := pt.Lookup(va)
+		if found != (err == nil) || pte != lpte || size != lsize {
+			t.Errorf("%#x: Probe = (%+v, %v, %v), Lookup = (%+v, %v, %v)", va, pte, size, found, lpte, lsize, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pt.Probe(0x7f0000123000) }); allocs != 0 {
+		t.Fatalf("Probe miss allocated %v times", allocs)
+	}
+}

@@ -91,9 +91,9 @@ type fabricCPU struct {
 
 // AsyncBatch tracks one posted batch until every target acks.
 type AsyncBatch struct {
-	from    mach.CPU
-	targets []mach.CPU
-	seqs    []uint64
+	from mach.CPU
+	// posts holds each target with the sequence its entry was posted at.
+	posts []asyncPost
 	// kickedAt is the time of the last (re)kick; the watchdog deadline
 	// rebases on it so the capped-backoff phase keeps real intervals.
 	kickedAt sim.Time
@@ -194,6 +194,13 @@ func (l *Layer) mergeInval(prev, next *Inval) {
 	}
 }
 
+// asyncPost is one target of a posted batch and the ring sequence its
+// entry was posted at; a batch holds all of them in one array.
+type asyncPost struct {
+	target mach.CPU
+	seq    uint64
+}
+
 // PostAsync enqueues inv on every CPU in targets, kicks the targets
 // whose rings were empty, registers onComplete against the posted
 // sequences, and returns without waiting — the initiator never spins.
@@ -205,13 +212,14 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 	if l.drainApply == nil {
 		panic("smp: PostAsync without a drain applier")
 	}
-	cpus := targets.CPUs()
-	b := &AsyncBatch{
-		from: from, targets: cpus,
-		seqs:     make([]uint64, len(cpus)),
-		kickedAt: l.eng.Now(),
-	}
-	if len(cpus) == 0 {
+	n := targets.Count()
+	b := &AsyncBatch{from: from, posts: make([]asyncPost, n), kickedAt: l.eng.Now()}
+	i := 0
+	targets.ForEach(func(t mach.CPU) {
+		b.posts[i].target = t
+		i++
+	})
+	if n == 0 {
 		b.done = true
 		if onComplete != nil {
 			onComplete(p)
@@ -219,8 +227,10 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 		return b
 	}
 	b.onComplete = onComplete
-	var kick mach.CPUMask
-	for i, t := range cpus {
+	kick := &l.percpu[from].kick
+	kick.Reset()
+	for i := range b.posts {
+		t := b.posts[i].target
 		fc := l.fabricOf(t)
 		// One RMW on the ring head publishes the entry, the new posted
 		// sequence, and (on overflow) the flush_all flag together.
@@ -232,7 +242,7 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 		}
 		wasIdle := len(fc.fabRing) == 0 && !fc.fabFlushAll
 		fc.fabPostSeq++
-		b.seqs[i] = fc.fabPostSeq
+		b.posts[i].seq = fc.fabPostSeq
 		l.stats.AsyncPosts++
 		// Guard shapes are deliberately interval-friendly: the ring
 		// length is named once and compared against the named bound, so
@@ -264,7 +274,7 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 	}
 	l.stats.AsyncBatches++
 	l.batches = append(l.batches, b)
-	l.bus.SendIPI(p, from, kick, apic.VectorCallFunction)
+	l.bus.SendIPI(p, from, *kick, apic.VectorCallFunction)
 	if l.fault.RecoveryArmed() {
 		l.ensureWatchdog()
 		l.wdCond.Broadcast()
@@ -376,8 +386,8 @@ func (l *Layer) completeBatches(p *sim.Proc) {
 			// Completion joins every target's ack edge: the callback
 			// (and the initiator-side window close it performs) is
 			// ordered after all responder flushes.
-			for _, t := range b.targets {
-				l.rt.Acquire(l.fabricOf(t).ackSync)
+			for _, pt := range b.posts {
+				l.rt.Acquire(l.fabricOf(pt.target).ackSync)
 			}
 		}
 		b.done = true
@@ -391,12 +401,12 @@ func (l *Layer) completeBatches(p *sim.Proc) {
 }
 
 func (l *Layer) batchAcked(b *AsyncBatch) bool {
-	for i, t := range b.targets {
-		fc := l.fabricOf(t)
+	for _, pt := range b.posts {
+		fc := l.fabricOf(pt.target)
 		if l.rt != nil {
-			l.rt.AtomicLoad(l.fabAckVar(t))
+			l.rt.AtomicLoad(l.fabAckVar(pt.target))
 		}
-		if fc.fabAckSeq < b.seqs[i] {
+		if fc.fabAckSeq < pt.seq {
 			return false
 		}
 	}
@@ -457,12 +467,13 @@ func (l *Layer) rekickBatch(p *sim.Proc, b *AsyncBatch) {
 	l.stats.AckTimeouts++
 	var kick mach.CPUMask
 	degraded := false
-	for i, t := range b.targets {
+	for _, pt := range b.posts {
+		t := pt.target
 		fc := l.fabricOf(t)
 		if l.rt != nil {
 			l.rt.AtomicLoad(l.fabAckVar(t))
 		}
-		if fc.fabAckSeq >= b.seqs[i] {
+		if fc.fabAckSeq >= pt.seq {
 			continue
 		}
 		if b.retries >= MaxKickRetries && !fc.fabFlushAll {

@@ -71,7 +71,7 @@ func TestDegradeToFullWidensUnackedOnly(t *testing.T) {
 	pay := &fullable{}
 	req := r.queueStranded(t, 2, pay)
 	// Non-degradable payloads are skipped without counting.
-	r.l.DegradeToFull([]*Request{{Payload: "opaque"}})
+	r.l.DegradeToFull([]*Request{{Call: &Call{Payload: "opaque"}}})
 	if got := r.l.Stats().DegradedFulls; got != 0 {
 		t.Fatalf("non-degradable payload counted an escalation: %d", got)
 	}
@@ -145,9 +145,12 @@ func TestRaceDetectorEdgesOnRekick(t *testing.T) {
 	r.spawnResponder(2, 1)
 	r.eng.Go("recover", func(p *sim.Proc) {
 		r.l.Rekick(p, 0, []*Request{req})
+		woken := r.eng.NewCond()
+		req.SetWaker(woken)
 		for !req.Done() {
-			req.doneCond.Wait(p)
+			woken.Wait(p)
 		}
+		req.SetWaker(nil)
 		r.l.ObserveDone(req)
 	})
 	r.eng.Run()

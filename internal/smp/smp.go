@@ -53,8 +53,9 @@ type Degradable interface {
 // CPU's process; payload is the request payload.
 type HandlerFunc func(p *sim.Proc, target mach.CPU, payload any)
 
-// Request is one in-flight remote function call (one CFD entry).
-type Request struct {
+// Call is what one CallMany sends to every target: the handler, its
+// argument and the ack protocol. The requests of one call share it.
+type Call struct {
 	// Fn is invoked on the target in IRQ context.
 	Fn HandlerFunc
 	// Payload is the argument (e.g. the TLB flush info).
@@ -63,13 +64,22 @@ type Request struct {
 	// running Fn (paper §3.2). The initiator sets it only when safe.
 	AckEarly bool
 
-	target   mach.CPU
-	cfdLine  *cache.Line
-	ackLine  *cache.Line // where the ack store/spin-read traffic lands
 	infoLine *cache.Line // nil under the consolidated layout
-	acked    bool
-	doneCond *sim.Cond
-	onDone   func()
+}
+
+// Request is one in-flight remote function call (one CFD entry).
+type Request struct {
+	*Call
+
+	acked   bool
+	target  mach.CPU
+	cfdLine *cache.Line
+	ackLine *cache.Line // where the ack store/spin-read traffic lands
+	// waker is the cond of the initiator-side wait loop watching this
+	// request (kernel.WaitRequests, WaitAll, WaitFirst), broadcast at ack
+	// time. A wait loop makes and attaches its cond only when it actually
+	// has to wait, so a request acked before anyone waits costs none.
+	waker *sim.Cond
 	// hb is the request's happens-before sync object (non-nil only when a
 	// race detector is attached): released at queue time and at ack time,
 	// acquired on IRQ receipt and when the initiator observes the ack.
@@ -99,6 +109,14 @@ type perCPU struct {
 	// function writes. Baseline: aliases lazyLine. Consolidated: private.
 	genLine *cache.Line
 	queue   []*Request
+	// spare is the drained queue array HandleIPI hands back for reuse,
+	// so a steady stream of shootdowns does not regrow queue each time.
+	spare []*Request
+	// kick is the reusable kick mask of this CPU as an initiator (CallMany,
+	// PostAsync). Only the CPU's own proc initiates from it, and a call
+	// hands the mask to SendIPI before the next call can start, so one
+	// preallocated mask per CPU serves every shootdown.
+	kick mach.CPUMask
 }
 
 // Stats counts SMP-layer activity.
@@ -166,7 +184,7 @@ type Layer struct {
 	// x2APIC cluster store their acks to a shared per-(initiator,
 	// cluster) line instead of each request's own CFD line, so a
 	// broadcast initiator spin-reads ~targets/ClusterSize lines instead
-	// of one per target. Done()/doneCond control flow is untouched —
+	// of one per target. Done()/waker control flow is untouched —
 	// only which cacheline the ack store and the spin reads are charged
 	// to changes, which keeps every narrower machine byte-identical.
 	clusterAcks bool
@@ -224,7 +242,7 @@ func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.D
 		l.fabric[i] = &fabricCPU{}
 	}
 	for i := 0; i < n; i++ {
-		pc := &perCPU{}
+		pc := &perCPU{kick: mach.NewCPUMask(n)}
 		pc.csqLine = dir.NewLine(fmt.Sprintf("csq[%d]", i))
 		if consolidated {
 			pc.lazyLine = pc.csqLine
@@ -323,24 +341,39 @@ func (l *Layer) ackLine(from, to mach.CPU) *cache.Line {
 // infoLine is the flush-info cacheline under the baseline layout; pass nil
 // to model inlined info (consolidated layout). The initiator must not be in
 // targets.
+//
+// The requests of one call share one Call and one backing array, so the
+// call allocates the same number of objects for one target as for a
+// thousand. Requests are never recycled: observers (CallHook) may keep
+// them past the call.
 func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn HandlerFunc, payload any, ackEarly bool, infoLine *cache.Line) []*Request {
 	if targets.Has(from) {
 		panic("smp: initiator cannot target itself")
 	}
-	cpus := targets.CPUs()
-	if len(cpus) == 0 {
+	n := targets.Count()
+	if n == 0 {
 		return nil
 	}
-	reqs := make([]*Request, 0, len(cpus))
-	var kick mach.CPUMask
-	for _, t := range cpus {
-		req := &Request{
-			Fn: fn, Payload: payload, AckEarly: ackEarly,
-			target:   t,
-			cfdLine:  l.cfdLine(from, t),
-			ackLine:  l.ackLine(from, t),
-			infoLine: infoLine,
-			doneCond: l.eng.NewCond(),
+	if l.hwMessage {
+		// §6 hardware model: the IPI carries fn+payload, so no request
+		// reads a flush-info line.
+		infoLine = nil
+	}
+	call := &Call{Fn: fn, Payload: payload, AckEarly: ackEarly, infoLine: infoLine}
+	slab := make([]Request, n)
+	reqs := make([]*Request, n)
+	kick := &l.percpu[from].kick
+	kick.Reset()
+	i := 0
+	targets.ForEach(func(t mach.CPU) {
+		req := &slab[i]
+		reqs[i] = req
+		i++
+		*req = Request{
+			Call:    call,
+			target:  t,
+			cfdLine: l.cfdLine(from, t),
+			ackLine: l.ackLine(from, t),
 		}
 		l.stats.Calls++
 		if l.CallHook != nil {
@@ -357,12 +390,10 @@ func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn Ha
 			// §6 hardware model: the IPI carries fn+payload, so neither
 			// the CFD write nor the CSQ enqueue touches shared memory;
 			// every target gets its own message-carrying IPI.
-			req.infoLine = nil
 			pc.queue = append(pc.queue, req)
 			kick.Set(t)
 			l.stats.Kicks++
-			reqs = append(reqs, req)
-			continue
+			return
 		}
 		// Write the CFD (function + payload, and inlined info when
 		// consolidated). Under the baseline layout the info line was
@@ -383,19 +414,26 @@ func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn Ha
 		} else {
 			l.stats.KicksElided++
 		}
-		reqs = append(reqs, req)
-	}
-	l.bus.SendIPI(p, from, kick, apic.VectorCallFunction)
+	})
+	l.bus.SendIPI(p, from, *kick, apic.VectorCallFunction)
 	return reqs
 }
 
 // WaitAll spins until every request is acknowledged, charging the
 // spin-wait reads of each CFD line.
 func (l *Layer) WaitAll(p *sim.Proc, from mach.CPU, reqs []*Request) {
+	// One cond for the whole wait, attached only to the request being
+	// waited on, so no other ack wakes the spin early.
+	var woken *sim.Cond
 	for _, r := range reqs {
 		for !r.Done() {
 			p.Delay(l.cost.SpinPoll)
-			r.doneCond.Wait(p)
+			if woken == nil {
+				woken = l.eng.NewCond()
+			}
+			r.SetWaker(woken)
+			woken.Wait(p)
+			r.SetWaker(nil)
 			// The ack invalidated our copy; the next poll re-reads it.
 			p.Delay(l.dir.Read(from, r.ackLine))
 		}
@@ -417,21 +455,15 @@ func (l *Layer) WaitFirst(p *sim.Proc, from mach.CPU, reqs []*Request) {
 			return
 		}
 	}
-	// Register a shared waiter on every request; the first ack wins.
-	woken := false
+	// One shared waker on every request: the first ack wakes us, and the
+	// later ones broadcast a cond nobody waits on any more, a no-op.
 	ch := l.eng.NewCond()
-	cancel := make([]func(), 0, len(reqs))
 	for _, r := range reqs {
-		cancel = append(cancel, r.AddDoneHook(func() {
-			if !woken {
-				woken = true
-				ch.Broadcast()
-			}
-		}))
+		r.SetWaker(ch)
 	}
 	ch.Wait(p)
-	for _, c := range cancel {
-		c()
+	for _, r := range reqs {
+		r.SetWaker(nil)
 	}
 	for _, r := range reqs {
 		if r.Done() {
@@ -441,28 +473,15 @@ func (l *Layer) WaitFirst(p *sim.Proc, from mach.CPU, reqs []*Request) {
 	p.Delay(l.dir.Read(from, reqs[0].ackLine))
 }
 
-// AddDoneHook registers fn to run when the request is acknowledged. The
-// returned cancel function detaches it. Hooks run on the engine goroutine
-// at ack time, before the request's cond is broadcast.
-func (r *Request) AddDoneHook(fn func()) (cancel func()) {
-	prev := r.onDone
-	r.onDone = func() {
-		if prev != nil {
-			prev()
-		}
-		fn()
+// SetWaker registers c to be broadcast when the request is acknowledged;
+// nil detaches it. The broadcast runs on the engine goroutine at ack time,
+// after AckHook. A request has one waiter, the initiator that queued it,
+// so registering a second, different cond while one is attached panics.
+func (r *Request) SetWaker(c *sim.Cond) {
+	if c != nil && r.waker != nil && r.waker != c {
+		panic("smp: request already has a waker")
 	}
-	cancelled := false
-	return func() {
-		if cancelled {
-			return
-		}
-		cancelled = true
-		// Rebuild the chain without fn by restoring prev; later hooks
-		// were layered on top of us, so only the common LIFO
-		// (register/cancel in stack order) pattern is supported.
-		r.onDone = prev
-	}
+	r.waker = c
 }
 
 // AnyDone reports whether any request has been acknowledged.
@@ -498,8 +517,10 @@ func (l *Layer) HandleIPI(p *sim.Proc, cpu mach.CPU) {
 			l.rt.AtomicRMW(l.csqVar(cpu))
 		}
 	}
+	// Swap in the spare array: requests queued while these handlers run
+	// land there, and the drained array becomes the next spare.
 	queue := pc.queue
-	pc.queue = nil
+	pc.queue, pc.spare = pc.spare, nil
 	for _, req := range queue {
 		if l.rt != nil {
 			// Receive edge: the handler sees everything that
@@ -524,6 +545,8 @@ func (l *Layer) HandleIPI(p *sim.Proc, cpu mach.CPU) {
 			l.stats.LateAcks++
 		}
 	}
+	clear(queue)
+	pc.spare = queue[:0]
 }
 
 // PendingOn returns the number of queued requests for cpu (for tests).
@@ -614,8 +637,7 @@ func (l *Layer) ack(p *sim.Proc, cpu mach.CPU, req *Request) {
 	if l.AckHook != nil {
 		l.AckHook(cpu, req.AckEarly)
 	}
-	if req.onDone != nil {
-		req.onDone()
+	if req.waker != nil {
+		req.waker.Broadcast()
 	}
-	req.doneCond.Broadcast()
 }

@@ -148,7 +148,7 @@ func writeback(ctx *kernel.Ctx, file *mm.File, startIdx, endIdx uint64) error {
 		// does with its mmu_gather: random scattered pages produce many
 		// small selective shootdowns, while adjacent pages — sequential
 		// or not — merge into one.
-		var pages []mm.FlushRange
+		pages := make([]mm.FlushRange, 0, len(idxs))
 		for _, idx := range idxs {
 			for _, va := range mapper.FilePageVAs(file, idx) {
 				if !mapper.WriteProtectPage(va) {

@@ -5,7 +5,8 @@
 # sequential harness) and at -parallel <all cores> — and records the
 # wall-clock of each, plus sync-vs-async dispatch-tier cells (the same
 # experiments re-run under -tlbmode sync and -tlbmode async) and the
-# sim package's event-loop microbenchmarks (ns/event and allocs/event).
+# sim package's event-loop microbenchmarks (ns/event and allocs/event),
+# and the coherence directory's wide-line read (ns/op and allocs/op).
 # Emits BENCH_parallel.json in the repo root; CI uploads it as an
 # artifact.
 #
@@ -24,7 +25,8 @@ TLBSIM=$(mktemp -t tlbsim.XXXXXX)
 SERIAL_OUT=$(mktemp -t tlbsim-serial.XXXXXX)
 PARALLEL_OUT=$(mktemp -t tlbsim-parallel.XXXXXX)
 BENCH_OUT=$(mktemp -t simbench.XXXXXX)
-trap 'rm -f "$TLBSIM" "$SERIAL_OUT" "$PARALLEL_OUT" "$BENCH_OUT"' EXIT
+DIR_OUT=$(mktemp -t dirbench.XXXXXX)
+trap 'rm -f "$TLBSIM" "$SERIAL_OUT" "$PARALLEL_OUT" "$BENCH_OUT" "$DIR_OUT"' EXIT
 
 echo "==> building tlbsim" >&2
 ${GO} build -o "$TLBSIM" ./cmd/tlbsim
@@ -88,6 +90,16 @@ delay_allocs=$(echo "$delay_line" | awk '{print $7}')
 pingpong_ns=$(echo "$pingpong_line" | awk '{print $3}')
 pingpong_allocs=$(echo "$pingpong_line" | awk '{print $7}')
 
+# Coherence directory: one read of a line shared by up to 512 CPUs (the
+# mm-generation pattern on the 512-CPU machine). Holder distance is a
+# range query on the sharer bitmap, so ns/op must not grow with the
+# sharer count and allocs/op must stay 0.
+echo "==> directory microbenchmark" >&2
+${GO} test -run '^$' -bench 'BenchmarkDirectoryReadWide' -benchmem ./internal/cache/ >"$DIR_OUT"
+dir_line=$(grep '^BenchmarkDirectoryReadWide' "$DIR_OUT" | head -1)
+dir_ns=$(echo "$dir_line" | awk '{print $3}')
+dir_allocs=$(echo "$dir_line" | awk '{print $7}')
+
 # Scale grid: "BenchmarkEngineChurn/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
 # -> one row per cpus cell, tagged with the engine's one event queue (the
 # timer wheel) so the rows keep their shape; ns/event must stay flat with width
@@ -107,7 +119,8 @@ churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     printf '  "experiments": [%s],\n' "$exp_json"
     printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_pingpong": %s, "allocs_per_pingpong": %s},\n' \
         "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$pingpong_ns" "$pingpong_allocs"
-    printf '  "engine_churn": [%s]\n' "$churn_json"
+    printf '  "engine_churn": [%s],\n' "$churn_json"
+    printf '  "directory": {"bench": "BenchmarkDirectoryReadWide", "cpus": 512, "ns_per_op": %s, "allocs_per_op": %s}\n' "$dir_ns" "$dir_allocs"
     printf '}\n'
 } >"$OUT"
 
